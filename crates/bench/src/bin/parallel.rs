@@ -28,7 +28,7 @@
 use mlgp_bench::{finish_or_exit, timed, BenchOpts};
 use mlgp_graph::generators::tri_mesh2d;
 use mlgp_graph::rng::seeded;
-use mlgp_linalg::{lanczos_fiedler, vecops, LanczosOptions, Laplacian, SymOp};
+use mlgp_linalg::{lanczos_fiedler, vecops, with_fanout, LanczosOptions, Laplacian, SymOp};
 use mlgp_part::{
     coarsen, compute_matching_threads, contract_threads, edge_cut_kway, kway_partition_refined,
     metrics, part_weights, MatchingScheme, MlConfig, PhaseTimes,
@@ -36,13 +36,6 @@ use mlgp_part::{
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 4242;
-
-fn pool(nt: usize) -> rayon::ThreadPool {
-    rayon::ThreadPoolBuilder::new()
-        .num_threads(nt)
-        .build()
-        .expect("thread pool")
-}
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -77,10 +70,9 @@ fn main() {
         let mut t1 = 0.0f64;
         let mut reference: Option<u64> = None;
         for &nt in &THREADS {
-            let p = pool(nt);
             // Each kernel returns a cheap fingerprint of its output so the
             // run cross-checks determinism across thread counts.
-            let (fp, secs) = p.install(|| match kernel {
+            let (fp, secs) = with_fanout(nt, || match kernel {
                 "match" => timed(|| {
                     let (m, _) = compute_matching_threads(
                         &g,
@@ -159,9 +151,8 @@ fn main() {
     let mut runs: Vec<(usize, PhaseTimes, f64)> = Vec::new();
     let mut reference: Option<u64> = None;
     for &nt in &THREADS {
-        let p = pool(nt);
         let cfg = MlConfig { threads: nt, ..cfg };
-        let (r, total) = p.install(|| timed(|| kway_partition_refined(&g, 8, &cfg)));
+        let (r, total) = with_fanout(nt, || timed(|| kway_partition_refined(&g, 8, &cfg)));
         let fp = fingerprint(r.part.iter().map(|&x| x as u64).chain([r.edge_cut as u64]));
         match reference {
             None => reference = Some(fp),
@@ -232,16 +223,16 @@ fn main() {
         let mut t1 = 0.0f64;
         let mut reference: Option<u64> = None;
         for &nt in &THREADS {
-            let (fp, secs) = match kernel {
+            let (fp, secs) = with_fanout(nt, || match kernel {
                 "dot" => timed(|| {
                     let mut acc = 0u64;
                     for _ in 0..dot_reps {
-                        acc ^= vecops::dot_threads(&x, &y, nt).to_bits();
+                        acc ^= vecops::dot(&x, &y).to_bits();
                     }
-                    fingerprint([acc, vecops::norm_threads(&x, nt).to_bits()].into_iter())
+                    fingerprint([acc, vecops::norm(&x).to_bits()].into_iter())
                 }),
                 "spmv" => timed(|| {
-                    let lap = Laplacian::with_threads(&g, nt);
+                    let lap = Laplacian::new(&g);
                     let mut out = vec![0.0f64; g.n()];
                     for _ in 0..spmv_reps {
                         lap.apply(&x, &mut out);
@@ -252,7 +243,7 @@ fn main() {
                     // Capped Krylov budget: the bench measures kernel
                     // throughput, not convergence, and keeps the cell
                     // bounded on big --scale factors.
-                    let lap = Laplacian::with_threads(&g, nt);
+                    let lap = Laplacian::new(&g);
                     let r = lanczos_fiedler(
                         &lap,
                         &LanczosOptions {
@@ -260,7 +251,6 @@ fn main() {
                             max_restarts: 1,
                             tol: 1e-8,
                             seed: SEED,
-                            threads: nt,
                         },
                     );
                     fingerprint(
@@ -270,7 +260,7 @@ fn main() {
                             .chain([r.lambda.to_bits(), r.matvecs as u64]),
                     )
                 }),
-            };
+            });
             if nt == 1 {
                 t1 = secs;
             }

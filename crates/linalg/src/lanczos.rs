@@ -24,11 +24,6 @@ pub struct LanczosOptions {
     pub tol: f64,
     /// RNG seed for the start vector.
     pub seed: u64,
-    /// Worker threads for the vector kernels and SpMV (`0` = ambient
-    /// rayon fan-out, `1` = serial, `n` = advisory `n` shards). Results
-    /// are bit-identical for every value: all float reductions use the
-    /// deterministic chunked-pairwise tree in `vecops`.
-    pub threads: usize,
 }
 
 impl Default for LanczosOptions {
@@ -38,7 +33,6 @@ impl Default for LanczosOptions {
             max_restarts: 8,
             tol: 1e-7,
             seed: 0x1a2c,
-            threads: 0,
         }
     }
 }
@@ -58,6 +52,10 @@ pub struct LanczosResult {
 
 /// Compute the Fiedler pair of `op` (a graph Laplacian or any symmetric
 /// positive semidefinite operator whose null space is the constant vector).
+///
+/// The vector kernels and SpMV fan out under the installed rayon pool;
+/// the result is bit-identical at every fan-out, since all float
+/// reductions use the deterministic chunked-pairwise tree in `vecops`.
 pub fn lanczos_fiedler<O: SymOp>(op: &O, opts: &LanczosOptions) -> LanczosResult {
     lanczos_fiedler_impl(op, opts, None)
 }
@@ -74,16 +72,6 @@ pub fn lanczos_fiedler_with_start<O: SymOp>(
 }
 
 fn lanczos_fiedler_impl<O: SymOp>(
-    op: &O,
-    opts: &LanczosOptions,
-    start: Option<&[f64]>,
-) -> LanczosResult {
-    // One advisory cap at entry governs every inner kernel (vecops
-    // reductions and the operator's SpMV shards when it follows ambient).
-    crate::vecops::with_fanout(opts.threads, || lanczos_fiedler_body(op, opts, start))
-}
-
-fn lanczos_fiedler_body<O: SymOp>(
     op: &O,
     opts: &LanczosOptions,
     start: Option<&[f64]>,

@@ -20,9 +20,8 @@ pub trait SymOp {
 ///
 /// The SpMV is sharded over vertex-row ranges — each `y[v]` depends only
 /// on row `v` of the CSR arrays, so the result is bit-identical at every
-/// fan-out. The [`Laplacian::with_threads`] knob caps the shard count
-/// (`0` = ambient rayon fan-out); every apply is tallied in the
-/// `spmv_calls` / `spmv_rows` telemetry counters (see
+/// fan-out; the installed rayon pool sets the shard count. Every apply is
+/// tallied in the `spmv_calls` / `spmv_rows` telemetry counters (see
 /// [`Laplacian::spmv_calls`]) which the traced solver wrappers export as
 /// `spmv_*` trace counters.
 #[derive(Debug)]
@@ -30,8 +29,6 @@ pub struct Laplacian<'a> {
     g: &'a CsrGraph,
     /// Cached weighted degrees (diagonal of `L`).
     deg: Vec<f64>,
-    /// Shard fan-out for `apply`/`rayleigh` (0 = ambient).
-    threads: usize,
     /// Number of `apply` (SpMV) calls performed through this operator.
     spmv_calls: AtomicU64,
     /// Total rows (vertex equations) computed across all `apply` calls.
@@ -39,23 +36,14 @@ pub struct Laplacian<'a> {
 }
 
 impl<'a> Laplacian<'a> {
-    /// Wrap a graph; precomputes the degree diagonal. Uses the ambient
-    /// rayon fan-out for the SpMV shards.
+    /// Wrap a graph; precomputes the degree diagonal.
     pub fn new(g: &'a CsrGraph) -> Self {
-        Self::with_threads(g, 0)
-    }
-
-    /// [`Laplacian::new`] with an explicit shard fan-out (`0` = ambient,
-    /// `1` = serial, `n` = advisory `n` shards). Purely a speed knob —
-    /// the SpMV is row-sharded and bit-identical at every value.
-    pub fn with_threads(g: &'a CsrGraph, threads: usize) -> Self {
         let deg = (0..g.n() as Vid)
             .map(|v| g.weighted_degree(v) as f64)
             .collect();
         Self {
             g,
             deg,
-            threads,
             spmv_calls: AtomicU64::new(0),
             spmv_rows: AtomicU64::new(0),
         }
@@ -64,11 +52,6 @@ impl<'a> Laplacian<'a> {
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
         self.g
-    }
-
-    /// The configured shard fan-out (0 = ambient).
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// SpMV calls performed so far ([`SymOp::apply`] invocations).
@@ -98,11 +81,11 @@ impl<'a> Laplacian<'a> {
     /// deterministic chunked-pairwise tree (`vecops::chunked_reduce`), so
     /// the value is identical at every thread count.
     pub fn rayleigh(&self, x: &[f64]) -> f64 {
-        let xx = crate::vecops::dot_threads(x, x, self.threads);
+        let xx = crate::vecops::dot(x, x);
         if xx == 0.0 {
             return 0.0;
         }
-        let num = crate::vecops::chunked_reduce(self.g.n(), self.threads, |lo, hi| {
+        let num = crate::vecops::chunked_reduce(self.g.n(), |lo, hi| {
             let mut acc = 0.0;
             for v in lo as Vid..hi as Vid {
                 let xv = x[v as usize];
@@ -141,26 +124,12 @@ impl SymOp for Laplacian<'_> {
             }
             acc
         };
-        let shard = |y: &mut [f64]| {
+        if self.g.n() >= PAR_APPLY_THRESHOLD && rayon::current_num_threads() > 1 {
             use rayon::prelude::*;
             y.par_iter_mut()
                 .enumerate()
                 .with_min_len(4096)
-                .for_each(|(v, yv)| {
-                    *yv = row(v as Vid);
-                });
-        };
-        if self.g.n() >= PAR_APPLY_THRESHOLD && self.threads != 1 {
-            if self.threads == 0 {
-                shard(y);
-            } else {
-                // LINT: allow(panic, pool construction fails only on thread-spawn resource exhaustion; no recovery is possible)
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(self.threads)
-                    .build()
-                    .expect("advisory thread pool")
-                    .install(|| shard(y));
-            }
+                .for_each(|(v, yv)| *yv = row(v as Vid));
         } else {
             for v in 0..self.g.n() as Vid {
                 y[v as usize] = row(v);

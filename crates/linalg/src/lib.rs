@@ -107,21 +107,11 @@ pub fn fiedler_vector(g: &CsrGraph, seed: u64) -> (f64, Vec<f64>) {
 
 /// [`fiedler_vector`] recording an `eigen` event per solve (the dense path
 /// reports solver `"dense-jacobi"` with zero iterations and residual — it
-/// is direct to machine precision).
+/// is direct to machine precision; the Lanczos path additionally records
+/// `spmv_calls` / `spmv_rows` counters from the Laplacian's SpMV tally).
+/// The Lanczos path fans out under the installed rayon pool, with
+/// bit-identical results at every fan-out.
 pub fn fiedler_vector_traced(g: &CsrGraph, seed: u64, trace: &Trace) -> (f64, Vec<f64>) {
-    fiedler_vector_threads_traced(g, seed, 0, trace)
-}
-
-/// [`fiedler_vector_traced`] with an explicit worker-thread fan-out for
-/// the Lanczos path (`0` = ambient rayon fan-out). Bit-identical results
-/// at every value; the Lanczos path additionally records `spmv_calls` /
-/// `spmv_rows` counters from the Laplacian's SpMV tally.
-pub fn fiedler_vector_threads_traced(
-    g: &CsrGraph,
-    seed: u64,
-    threads: usize,
-    trace: &Trace,
-) -> (f64, Vec<f64>) {
     assert!(g.n() >= 2);
     if g.n() <= DENSE_FIEDLER_LIMIT {
         let (lambda, vector) = fiedler_dense(g);
@@ -133,12 +123,11 @@ pub fn fiedler_vector_threads_traced(
         });
         (lambda, vector)
     } else {
-        let lap = Laplacian::with_threads(g, threads);
+        let lap = Laplacian::new(g);
         let r = lanczos_fiedler_traced(
             &lap,
             &LanczosOptions {
                 seed,
-                threads,
                 ..LanczosOptions::default()
             },
             trace,

@@ -19,10 +19,6 @@ pub struct MinresOptions {
     /// Project every iterate off the constant vector. Required when solving
     /// shifted Laplacian systems restricted to the non-constant subspace.
     pub deflate: bool,
-    /// Worker threads for the vector kernels and SpMV (`0` = ambient
-    /// rayon fan-out). Bit-identical results at every value — the float
-    /// reductions are deterministic chunked-pairwise.
-    pub threads: usize,
 }
 
 impl Default for MinresOptions {
@@ -31,7 +27,6 @@ impl Default for MinresOptions {
             max_iters: 100,
             tol: 1e-8,
             deflate: false,
-            threads: 0,
         }
     }
 }
@@ -47,12 +42,9 @@ pub struct MinresResult {
     pub iters: usize,
 }
 
-/// Solve `A x = b` for symmetric `A`.
+/// Solve `A x = b` for symmetric `A`. The vector kernels fan out under the
+/// installed rayon pool; results are bit-identical at every fan-out.
 pub fn minres<O: SymOp>(op: &O, b: &[f64], opts: &MinresOptions) -> MinresResult {
-    crate::vecops::with_fanout(opts.threads, || minres_body(op, b, opts))
-}
-
-fn minres_body<O: SymOp>(op: &O, b: &[f64], opts: &MinresOptions) -> MinresResult {
     let n = op.dim();
     assert_eq!(b.len(), n);
     let mut x = vec![0.0; n];
@@ -211,7 +203,6 @@ mod tests {
                 max_iters: 500,
                 tol: 1e-10,
                 deflate: true,
-                ..Default::default()
             },
         );
         // Check true residual within the subspace.

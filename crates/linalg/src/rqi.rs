@@ -20,10 +20,6 @@ pub struct RqiOptions {
     pub inner_iters: usize,
     /// Convergence: `‖Lx − ρx‖ ≤ tol · max_degree`.
     pub tol: f64,
-    /// Worker threads for the vector kernels, inner MINRES solves, and
-    /// SpMV (`0` = ambient rayon fan-out). Bit-identical results at every
-    /// value — all float reductions are deterministic chunked-pairwise.
-    pub threads: usize,
 }
 
 impl Default for RqiOptions {
@@ -32,7 +28,6 @@ impl Default for RqiOptions {
             max_outer: 10,
             inner_iters: 60,
             tol: 1e-6,
-            threads: 0,
         }
     }
 }
@@ -50,12 +45,10 @@ pub struct RqiResult {
     pub outer_iters: usize,
 }
 
-/// Refine `x0` toward the Fiedler pair of `lap`.
+/// Refine `x0` toward the Fiedler pair of `lap`. The vector kernels, inner
+/// MINRES solves and SpMV fan out under the installed rayon pool; results
+/// are bit-identical at every fan-out.
 pub fn rqi_refine(lap: &Laplacian<'_>, x0: &[f64], opts: &RqiOptions) -> RqiResult {
-    crate::vecops::with_fanout(opts.threads, || rqi_refine_body(lap, x0, opts))
-}
-
-fn rqi_refine_body(lap: &Laplacian<'_>, x0: &[f64], opts: &RqiOptions) -> RqiResult {
     let n = lap.dim();
     assert_eq!(x0.len(), n);
     let mut x = x0.to_vec();
@@ -91,9 +84,6 @@ fn rqi_refine_body(lap: &Laplacian<'_>, x0: &[f64], opts: &RqiOptions) -> RqiRes
                 max_iters: opts.inner_iters,
                 tol: 1e-10,
                 deflate: true,
-                // The outer with_fanout cap is already installed; inner
-                // solves follow ambient.
-                threads: 0,
             },
         );
         let mut y = solve.x;

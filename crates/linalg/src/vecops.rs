@@ -23,11 +23,11 @@
 //! kernels (`axpy`, `scale`) are trivially deterministic and parallelize
 //! over disjoint ranges.
 //!
-//! Every kernel has a `*_threads` variant taking an explicit fan-out
-//! (`0` = ambient rayon fan-out, `1` = force serial, `n` = advisory `n`
-//! shards); the plain names are ambient-fan-out conveniences. Inputs
-//! below [`PAR_MIN_LEN`] always run inline — the fork overhead of the
-//! scoped-thread shim exceeds the work there.
+//! Kernels take their fan-out from the installed rayon pool
+//! (`rayon::current_num_threads()`); [`with_fanout`] is how an entry point
+//! holding a `threads` setting installs one. Inputs below [`PAR_MIN_LEN`]
+//! always run inline — the fork overhead of the scoped-thread shim exceeds
+//! the work there.
 
 /// Elements per reduction chunk. 4096 f64s = 32 KiB, half a typical L1 —
 /// small enough that a chunk's serial reduction stays cache-resident,
@@ -38,15 +38,11 @@ pub const REDUCTION_CHUNK: usize = 4096;
 /// spawning scoped threads costs more than reducing ~16 chunks.
 pub const PAR_MIN_LEN: usize = 1 << 16;
 
-/// Effective fan-out for a kernel: `threads` if nonzero, else the ambient
-/// rayon fan-out (pool caps installed by callers apply).
+/// Whether a kernel over `n` elements fans out: large enough to pay for
+/// the fork, and the installed pool allows more than one shard.
 #[inline]
-fn fanout(threads: usize) -> usize {
-    if threads == 0 {
-        rayon::current_num_threads()
-    } else {
-        threads
-    }
+fn parallel(n: usize) -> bool {
+    n >= PAR_MIN_LEN && rayon::current_num_threads() > 1
 }
 
 /// Combine partials with a fixed-shape pairwise tree (split at `len/2`).
@@ -64,89 +60,67 @@ fn pairwise_sum(p: &[f64]) -> f64 {
 }
 
 /// Fill `partials[ci]` with `reduce_chunk(lo..hi)` for every
-/// [`REDUCTION_CHUNK`]-sized chunk of `0..n`, fanning out to `threads`
-/// when the input is large enough. The chunk layout — and therefore every
-/// partial — is identical on the serial and parallel paths.
-fn chunk_partials<F>(n: usize, threads: usize, reduce_chunk: F) -> Vec<f64>
+/// [`REDUCTION_CHUNK`]-sized chunk of `0..n`, fanning out when the input
+/// is large enough. The chunk layout — and therefore every partial — is
+/// identical on the serial and parallel paths.
+fn chunk_partials<F>(n: usize, reduce_chunk: F) -> Vec<f64>
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
     let nchunks = n.div_ceil(REDUCTION_CHUNK).max(1);
     let mut partials = vec![0.0f64; nchunks];
-    if n >= PAR_MIN_LEN && fanout(threads) > 1 {
+    let fill = |ci: usize, p: &mut f64| {
+        let lo = ci * REDUCTION_CHUNK;
+        *p = reduce_chunk(lo, (lo + REDUCTION_CHUNK).min(n));
+    };
+    if parallel(n) {
         use rayon::prelude::*;
-        let mut run = || {
-            partials
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(1)
-                .for_each(|(ci, p)| {
-                    let lo = ci * REDUCTION_CHUNK;
-                    let hi = (lo + REDUCTION_CHUNK).min(n);
-                    *p = reduce_chunk(lo, hi);
-                });
-        };
-        if threads == 0 {
-            run();
-        } else {
-            advisory_pool(threads).install(run);
-        }
+        partials
+            .par_iter_mut()
+            .enumerate()
+            .with_min_len(1)
+            .for_each(|(ci, p)| fill(ci, p));
     } else {
         for (ci, p) in partials.iter_mut().enumerate() {
-            let lo = ci * REDUCTION_CHUNK;
-            let hi = (lo + REDUCTION_CHUNK).min(n);
-            *p = reduce_chunk(lo, hi);
+            fill(ci, p);
         }
     }
     partials
 }
 
-/// An advisory pool capping the shim's fan-out at `threads`.
-fn advisory_pool(threads: usize) -> rayon::ThreadPool {
+/// Run `f` under a fan-out cap: `threads == 0` leaves the installed pool
+/// untouched, any other value caps every parallel kernel invoked inside
+/// `f` (including nested [`rayon::join`] forks) at `threads` shards. The
+/// one place that turns a `threads` setting into an installed pool; entry
+/// points holding such a setting call it once.
+pub fn with_fanout<R>(threads: usize, f: impl FnOnce() -> R) -> R {
+    if threads == 0 {
+        return f();
+    }
     // LINT: allow(panic, pool construction fails only on thread-spawn resource exhaustion; no recovery is possible)
     rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("advisory thread pool")
-}
-
-/// Run `f` under an advisory fan-out cap: `threads == 0` leaves the
-/// ambient pool untouched, any other value caps every parallel kernel
-/// invoked inside `f` (including nested [`rayon::join`] forks) at
-/// `threads` shards. Solvers call this once at entry so their inner
-/// vecops/SpMV calls all follow one knob.
-pub fn with_fanout<R>(threads: usize, f: impl FnOnce() -> R) -> R {
-    if threads == 0 {
-        f()
-    } else {
-        advisory_pool(threads).install(f)
-    }
+        .install(f)
 }
 
 /// Run an elementwise kernel over `y` in disjoint [`REDUCTION_CHUNK`]
-/// slices, honoring the `threads` knob. `f(base, chunk)` gets the global
-/// offset of its chunk. Elementwise maps write disjoint ranges, so they
-/// are bit-identical at any fan-out by construction.
-fn elementwise<F>(y: &mut [f64], threads: usize, f: F)
+/// slices. `f(base, chunk)` gets the global offset of its chunk.
+/// Elementwise maps write disjoint ranges, so they are bit-identical at
+/// any fan-out by construction.
+fn elementwise<F>(y: &mut [f64], f: F)
 where
     F: Fn(usize, &mut [f64]) + Sync,
 {
-    let n = y.len();
-    if n >= PAR_MIN_LEN && fanout(threads) > 1 {
+    if parallel(y.len()) {
         use rayon::prelude::*;
         let mut chunks: Vec<&mut [f64]> = y.chunks_mut(REDUCTION_CHUNK).collect();
-        let run = |chunks: &mut Vec<&mut [f64]>| {
-            chunks
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(1)
-                .for_each(|(ci, ch)| f(ci * REDUCTION_CHUNK, ch));
-        };
-        if threads == 0 {
-            run(&mut chunks);
-        } else {
-            advisory_pool(threads).install(|| run(&mut chunks));
-        }
+        chunks
+            .par_iter_mut()
+            .enumerate()
+            .with_min_len(1)
+            .for_each(|(ci, ch)| f(ci * REDUCTION_CHUNK, ch));
     } else {
         f(0, y);
     }
@@ -156,10 +130,9 @@ where
 /// `0..n` into [`REDUCTION_CHUNK`] chunks, reduce each with
 /// `reduce_chunk(lo, hi)`, combine the partials with the fixed pairwise
 /// tree. The result is a pure function of `(n, reduce_chunk)` — the
-/// `threads` knob (0 = ambient, 1 = serial, n = advisory shards) only
-/// affects speed. This is the building block behind `dot`/`norm`/`sum`
-/// and the Laplacian's edge-wise Rayleigh quotient.
-pub fn chunked_reduce<F>(n: usize, threads: usize, reduce_chunk: F) -> f64
+/// installed pool only affects speed. This is the building block behind
+/// `dot`/`norm`/`sum` and the Laplacian's edge-wise Rayleigh quotient.
+pub fn chunked_reduce<F>(n: usize, reduce_chunk: F) -> f64
 where
     F: Fn(usize, usize) -> f64 + Sync,
 {
@@ -169,7 +142,7 @@ where
     if n <= REDUCTION_CHUNK {
         return reduce_chunk(0, n);
     }
-    pairwise_sum(&chunk_partials(n, threads, reduce_chunk))
+    pairwise_sum(&chunk_partials(n, reduce_chunk))
 }
 
 /// Dot product over one chunk; plain slice loop, auto-vectorized.
@@ -178,67 +151,36 @@ fn dot_chunk(a: &[f64], b: &[f64]) -> f64 {
     a.iter().zip(b).map(|(x, y)| x * y).sum()
 }
 
-/// Dot product (deterministic chunked-pairwise; ambient fan-out).
-#[inline]
+/// Dot product (deterministic chunked-pairwise).
 pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    dot_threads(a, b, 0)
-}
-
-/// [`dot`] with an explicit fan-out. The value is a pure function of
-/// `(a, b)` — identical for every `threads`.
-pub fn dot_threads(a: &[f64], b: &[f64], threads: usize) -> f64 {
     debug_assert_eq!(a.len(), b.len());
-    chunked_reduce(a.len(), threads, |lo, hi| dot_chunk(&a[lo..hi], &b[lo..hi]))
+    chunked_reduce(a.len(), |lo, hi| dot_chunk(&a[lo..hi], &b[lo..hi]))
 }
 
-/// Euclidean norm (deterministic chunked-pairwise; ambient fan-out).
+/// Euclidean norm (deterministic chunked-pairwise).
 #[inline]
 pub fn norm(a: &[f64]) -> f64 {
-    norm_threads(a, 0)
+    dot(a, a).sqrt()
 }
 
-/// [`norm`] with an explicit fan-out.
-#[inline]
-pub fn norm_threads(a: &[f64], threads: usize) -> f64 {
-    dot_threads(a, a, threads).sqrt()
-}
-
-/// Sum of all elements (deterministic chunked-pairwise; ambient fan-out).
-#[inline]
+/// Sum of all elements (deterministic chunked-pairwise).
 pub fn sum(a: &[f64]) -> f64 {
-    sum_threads(a, 0)
+    chunked_reduce(a.len(), |lo, hi| a[lo..hi].iter().sum())
 }
 
-/// [`sum`] with an explicit fan-out.
-pub fn sum_threads(a: &[f64], threads: usize) -> f64 {
-    chunked_reduce(a.len(), threads, |lo, hi| a[lo..hi].iter().sum())
-}
-
-/// `y += alpha * x` (elementwise; ambient fan-out).
-#[inline]
+/// `y += alpha * x` (elementwise).
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
-    axpy_threads(alpha, x, y, 0);
-}
-
-/// [`axpy`] with an explicit fan-out.
-pub fn axpy_threads(alpha: f64, x: &[f64], y: &mut [f64], threads: usize) {
     debug_assert_eq!(x.len(), y.len());
-    elementwise(y, threads, |base, ys| {
+    elementwise(y, |base, ys| {
         for (i, yi) in ys.iter_mut().enumerate() {
             *yi += alpha * x[base + i];
         }
     });
 }
 
-/// `x *= alpha` (elementwise; ambient fan-out).
-#[inline]
+/// `x *= alpha` (elementwise).
 pub fn scale(alpha: f64, x: &mut [f64]) {
-    scale_threads(alpha, x, 0);
-}
-
-/// [`scale`] with an explicit fan-out.
-pub fn scale_threads(alpha: f64, x: &mut [f64], threads: usize) {
-    elementwise(x, threads, |_, xs| {
+    elementwise(x, |_, xs| {
         for xi in xs {
             *xi *= alpha;
         }
@@ -253,16 +195,10 @@ pub fn scale_threads(alpha: f64, x: &mut [f64], threads: usize) {
 /// whose norm underflows to a denormal is also left untouched (dividing
 /// by a denormal would overflow every component to ±inf) — callers that
 /// need a direction from such a vector should rescale it first.
-#[inline]
 pub fn normalize(x: &mut [f64]) -> f64 {
-    normalize_threads(x, 0)
-}
-
-/// [`normalize`] with an explicit fan-out.
-pub fn normalize_threads(x: &mut [f64], threads: usize) -> f64 {
-    let n = norm_threads(x, threads);
+    let n = norm(x);
     if n.is_normal() && n > 0.0 {
-        scale_threads(1.0 / n, x, threads);
+        scale(1.0 / n, x);
     }
     n
 }
@@ -274,35 +210,23 @@ pub fn normalize_threads(x: &mut [f64], threads: usize) -> f64 {
 /// denormal: a zero `q` spans nothing to project out, and dividing by a
 /// denormal `q·q` overflows the coefficient to ±inf and would destroy
 /// `x`. The skip threshold is `f64::MIN_POSITIVE` (smallest normal).
-#[inline]
 pub fn orthogonalize_against(x: &mut [f64], q: &[f64]) {
-    orthogonalize_against_threads(x, q, 0);
-}
-
-/// [`orthogonalize_against`] with an explicit fan-out.
-pub fn orthogonalize_against_threads(x: &mut [f64], q: &[f64], threads: usize) {
-    let qq = dot_threads(q, q, threads);
+    let qq = dot(q, q);
     if qq >= f64::MIN_POSITIVE {
-        let coeff = dot_threads(x, q, threads) / qq;
-        axpy_threads(-coeff, q, x, threads);
+        let coeff = dot(x, q) / qq;
+        axpy(-coeff, q, x);
     }
 }
 
 /// Remove the mean of `x` (orthogonalize against the constant vector, the
 /// Laplacian's null space).
-#[inline]
 pub fn deflate_constant(x: &mut [f64]) {
-    deflate_constant_threads(x, 0);
-}
-
-/// [`deflate_constant`] with an explicit fan-out.
-pub fn deflate_constant_threads(x: &mut [f64], threads: usize) {
     let n = x.len();
     if n == 0 {
         return;
     }
-    let mean = sum_threads(x, threads) / n as f64;
-    elementwise(x, threads, |_, xs| {
+    let mean = sum(x) / n as f64;
+    elementwise(x, |_, xs| {
         for xi in xs {
             *xi -= mean;
         }
@@ -409,10 +333,10 @@ mod tests {
             (chunked - serial).abs() <= 1e-12 * serial.abs().max(1.0),
             "chunked {chunked} vs serial {serial}"
         );
-        // Bit-identical across explicit fan-outs.
+        // Bit-identical under every installed fan-out.
         for t in [1usize, 2, 3, 8] {
             assert_eq!(
-                dot_threads(&a, &b, t).to_bits(),
+                with_fanout(t, || dot(&a, &b)).to_bits(),
                 chunked.to_bits(),
                 "dot differs at {t} threads"
             );
@@ -425,14 +349,14 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| ((i * 29) % 113) as f64 / 7.0 - 8.0)
             .collect();
-        let s1 = sum_threads(&x, 1);
+        let s1 = with_fanout(1, || sum(&x));
         for t in [2usize, 5, 8] {
-            assert_eq!(sum_threads(&x, t).to_bits(), s1.to_bits());
+            assert_eq!(with_fanout(t, || sum(&x)).to_bits(), s1.to_bits());
         }
         let mut a = x.clone();
         let mut b = x.clone();
-        deflate_constant_threads(&mut a, 1);
-        deflate_constant_threads(&mut b, 8);
+        with_fanout(1, || deflate_constant(&mut a));
+        with_fanout(8, || deflate_constant(&mut b));
         assert_eq!(a, b);
     }
 
@@ -442,11 +366,11 @@ mod tests {
         let x: Vec<f64> = (0..n).map(|i| (i % 31) as f64 * 0.25 - 3.0).collect();
         let mut y1: Vec<f64> = (0..n).map(|i| (i % 17) as f64 * 0.5).collect();
         let mut y8 = y1.clone();
-        axpy_threads(0.37, &x, &mut y1, 1);
-        axpy_threads(0.37, &x, &mut y8, 8);
+        with_fanout(1, || axpy(0.37, &x, &mut y1));
+        with_fanout(8, || axpy(0.37, &x, &mut y8));
         assert_eq!(y1, y8);
-        scale_threads(1.0 / 3.0, &mut y1, 1);
-        scale_threads(1.0 / 3.0, &mut y8, 8);
+        with_fanout(1, || scale(1.0 / 3.0, &mut y1));
+        with_fanout(8, || scale(1.0 / 3.0, &mut y8));
         assert_eq!(y1, y8);
     }
 

@@ -152,18 +152,19 @@ proptest! {
         let mut rng = seeded(seed);
         let a: Vec<f64> = (0..n).map(|_| rng.random_range(-10.0..10.0)).collect();
         let b: Vec<f64> = (0..n).map(|_| rng.random_range(-10.0..10.0)).collect();
-        let reference = mlgp_linalg::vecops::dot_threads(&a, &b, 1);
+        use mlgp_linalg::{vecops, with_fanout};
+        let reference = with_fanout(1, || vecops::dot(&a, &b));
         for threads in [2usize, 3, 8] {
-            let t = mlgp_linalg::vecops::dot_threads(&a, &b, threads);
+            let t = with_fanout(threads, || vecops::dot(&a, &b));
             prop_assert_eq!(
                 t.to_bits(), reference.to_bits(),
                 "dot differs at {} threads: {} vs {}", threads, t, reference
             );
         }
         // norm rides on dot; check it too.
-        let nref = mlgp_linalg::vecops::norm_threads(&a, 1);
+        let nref = with_fanout(1, || vecops::norm(&a));
         for threads in [2usize, 8] {
-            prop_assert_eq!(mlgp_linalg::vecops::norm_threads(&a, threads).to_bits(), nref.to_bits());
+            prop_assert_eq!(with_fanout(threads, || vecops::norm(&a)).to_bits(), nref.to_bits());
         }
     }
 

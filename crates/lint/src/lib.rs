@@ -842,7 +842,7 @@ mod tests {
     #[test]
     fn d2_exempts_chunked_reduce_arguments() {
         let class = kernel_class();
-        let ok = "fn g(xs: &mut [f64]) { xs.par_iter_mut().for_each(|x| *x = 0.0); }\nfn f(xs: &[f64]) -> f64 {\n    chunked_reduce(xs.len(), 0, |lo, hi| {\n        let mut acc = 0.0;\n        for x in &xs[lo..hi] { acc += x; }\n        acc\n    })\n}\n";
+        let ok = "fn g(xs: &mut [f64]) { xs.par_iter_mut().for_each(|x| *x = 0.0); }\nfn f(xs: &[f64]) -> f64 {\n    chunked_reduce(xs.len(), |lo, hi| {\n        let mut acc = 0.0;\n        for x in &xs[lo..hi] { acc += x; }\n        acc\n    })\n}\n";
         let d = scan(ok, &class);
         assert!(
             !d.iter().any(|d| d.rule == Rule::D2FloatAccum),

@@ -6,7 +6,7 @@ pub fn scale(xs: &mut [f64]) {
 }
 
 pub fn total(xs: &[f64]) -> f64 {
-    mlgp_linalg::vecops::chunked_reduce(xs.len(), 0, |lo, hi| {
+    mlgp_linalg::vecops::chunked_reduce(xs.len(), |lo, hi| {
         let mut acc = 0.0;
         for x in &xs[lo..hi] {
             acc += *x;

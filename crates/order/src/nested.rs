@@ -38,9 +38,9 @@ pub struct NdConfig {
     /// (see [`crate::seprefine`]).
     pub refine_separator: bool,
     /// Worker threads for the recursion forks and the bisector's kernels
-    /// (`0` = leave the bisector configs and ambient fan-out alone; any
-    /// other value overrides the nested `MlConfig`/`MsbConfig` knob and
-    /// caps the recursion's `rayon::join` fan-out). Orderings are
+    /// (`0` = leave the multilevel bisector's `MlConfig::threads` and the
+    /// installed pool alone; any other value overrides that knob and
+    /// installs a pool of this size around the run). Orderings are
     /// bit-identical at every value.
     pub threads: usize,
 }
@@ -83,38 +83,21 @@ pub fn nested_dissection(g: &CsrGraph, cfg: &NdConfig) -> Permutation {
 /// counter. The multilevel bisector additionally records its own per-level
 /// coarsening/refinement events.
 pub fn nested_dissection_traced(g: &CsrGraph, cfg: &NdConfig, trace: &Trace) -> Permutation {
-    // A nonzero NdConfig::threads overrides the bisector's own knob and
-    // caps the recursion fan-out via an advisory pool around the run.
+    // A nonzero NdConfig::threads overrides the multilevel bisector's
+    // knob and installs the pool that caps every other fan-out.
     let mut cfg = *cfg;
-    if cfg.threads != 0 {
-        match &mut cfg.bisector {
-            NdBisector::Multilevel(ml) => ml.threads = cfg.threads,
-            NdBisector::Spectral(sc) => sc.threads = cfg.threads,
+    if let NdBisector::Multilevel(ml) = &mut cfg.bisector {
+        if cfg.threads != 0 {
+            ml.threads = cfg.threads;
         }
     }
-    let run = |cfg: &NdConfig| {
+    mlgp_linalg::with_fanout(cfg.threads, || {
         let mut seq = Vec::with_capacity(g.n());
-        order_rec(
-            g,
-            &(0..g.n() as Vid).collect::<Vec<_>>(),
-            cfg,
-            1,
-            &mut seq,
-            trace,
-        );
+        let all: Vec<Vid> = (0..g.n() as Vid).collect();
+        order_rec(g, &all, &cfg, 1, &mut seq, trace);
         debug_assert_eq!(seq.len(), g.n());
         Permutation::from_inverse(seq)
-    };
-    if cfg.threads == 0 {
-        run(&cfg)
-    } else {
-        // LINT: allow(panic, pool construction fails only on thread-spawn resource exhaustion; no recovery is possible)
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(cfg.threads)
-            .build()
-            .expect("advisory thread pool")
-            .install(|| run(&cfg))
-    }
+    })
 }
 
 /// Multilevel nested dissection with default settings.

@@ -10,10 +10,11 @@
 //! combination tree) and the row-sharded SpMV — see DESIGN.md §10.
 //!
 //! Mirrors `crates/part/tests/determinism.rs`: threads {1, 2, 8} plus an
-//! optional `MLGP_THREADS` from the CI thread-matrix job.
+//! optional `MLGP_THREADS` from the CI thread-matrix job, each run under a
+//! pool installed with `with_fanout`.
 
 use mlgp_graph::generators::{lshape, tri_mesh2d};
-use mlgp_linalg::{lanczos_fiedler, LanczosOptions, Laplacian};
+use mlgp_linalg::{lanczos_fiedler, with_fanout, LanczosOptions, Laplacian};
 use mlgp_order::{nested_dissection, NdConfig};
 use mlgp_spectral::{chaco_ml_bisect, msb_bisect, msb_fiedler, ChacoMlConfig, MsbConfig};
 
@@ -41,16 +42,14 @@ fn lanczos_fiedler_is_bit_identical_across_thread_counts() {
     // 3600 vertices: above DENSE_FIEDLER_LIMIT, so this is the real
     // Lanczos path with reorthogonalization over the chunked reductions.
     let g = tri_mesh2d(60, 60, 7);
-    let lap_ref = Laplacian::with_threads(&g, 1);
-    let opts = |threads| LanczosOptions {
+    let opts = LanczosOptions {
         seed: 0xfeed,
-        threads,
         ..LanczosOptions::default()
     };
-    let reference = lanczos_fiedler(&lap_ref, &opts(1));
+    let run = |t| with_fanout(t, || lanczos_fiedler(&Laplacian::new(&g), &opts));
+    let reference = run(1);
     for &t in &thread_counts()[1..] {
-        let lap = Laplacian::with_threads(&g, t);
-        let r = lanczos_fiedler(&lap, &opts(t));
+        let r = run(t);
         assert_eq!(
             r.lambda.to_bits(),
             reference.lambda.to_bits(),
@@ -71,18 +70,16 @@ fn lanczos_above_parallel_spmv_threshold_is_thread_invariant() {
     // (PAR_APPLY_THRESHOLD = 20k). Capped steps keep the test quick —
     // convergence is irrelevant here, only bit-identity.
     let g = tri_mesh2d(160, 160, 7);
-    let opts = |threads| LanczosOptions {
+    let opts = LanczosOptions {
         max_steps: 25,
         max_restarts: 1,
         tol: 1e-6,
         seed: 0x5eed,
-        threads,
     };
-    let lap_ref = Laplacian::with_threads(&g, 1);
-    let reference = lanczos_fiedler(&lap_ref, &opts(1));
+    let run = |t| with_fanout(t, || lanczos_fiedler(&Laplacian::new(&g), &opts));
+    let reference = run(1);
     for &t in &thread_counts()[1..] {
-        let lap = Laplacian::with_threads(&g, t);
-        let r = lanczos_fiedler(&lap, &opts(t));
+        let r = run(t);
         assert_eq!(
             bits(&r.vector),
             bits(&reference.vector),
@@ -97,9 +94,10 @@ fn rayleigh_quotient_is_bit_identical_across_thread_counts() {
     let x: Vec<f64> = (0..g.n())
         .map(|i| ((i * 37) % 101) as f64 / 17.0 - 2.5)
         .collect();
-    let reference = Laplacian::with_threads(&g, 1).rayleigh(&x);
+    let run = |t| with_fanout(t, || Laplacian::new(&g).rayleigh(&x));
+    let reference = run(1);
     for &t in &thread_counts()[1..] {
-        let rho = Laplacian::with_threads(&g, t).rayleigh(&x);
+        let rho = run(t);
         assert_eq!(
             rho.to_bits(),
             reference.to_bits(),
@@ -113,20 +111,17 @@ fn msb_is_bit_identical_across_thread_counts() {
     // The full multilevel spectral pipeline: RM coarsening, coarsest dense
     // solve, per-level interpolation + RQI (inner MINRES) refinement.
     let g = tri_mesh2d(40, 40, 9);
-    let cfg = |threads| MsbConfig {
-        threads,
-        ..MsbConfig::default()
-    };
-    let f_ref = msb_fiedler(&g, &cfg(1));
-    let (p_ref, c_ref) = msb_bisect(&g, &cfg(1));
+    let cfg = MsbConfig::default();
+    let f_ref = with_fanout(1, || msb_fiedler(&g, &cfg));
+    let (p_ref, c_ref) = with_fanout(1, || msb_bisect(&g, &cfg));
     for &t in &thread_counts()[1..] {
-        let f = msb_fiedler(&g, &cfg(t));
+        let f = with_fanout(t, || msb_fiedler(&g, &cfg));
         assert_eq!(
             bits(&f),
             bits(&f_ref),
             "MSB Fiedler vector differs at {t} threads"
         );
-        let (p, c) = msb_bisect(&g, &cfg(t));
+        let (p, c) = with_fanout(t, || msb_bisect(&g, &cfg));
         assert_eq!(c, c_ref, "MSB cut differs at {t} threads");
         assert_eq!(p, p_ref, "MSB bisection differs at {t} threads");
     }
@@ -137,13 +132,10 @@ fn chaco_ml_is_bit_identical_across_thread_counts() {
     // Chaco-ML routes through the parallel trial fan-out (spectral initial
     // partitioning on the coarsest graph) plus KL refinement.
     let g = tri_mesh2d(36, 36, 5);
-    let cfg = |threads| ChacoMlConfig {
-        threads,
-        ..ChacoMlConfig::default()
-    };
-    let reference = chaco_ml_bisect(&g, &cfg(1));
+    let run = |t| with_fanout(t, || chaco_ml_bisect(&g, &ChacoMlConfig::default()));
+    let reference = run(1);
     for &t in &thread_counts()[1..] {
-        let r = chaco_ml_bisect(&g, &cfg(t));
+        let r = run(t);
         assert_eq!(r.1, reference.1, "Chaco-ML cut differs at {t} threads");
         assert_eq!(
             r.0, reference.0,

@@ -41,8 +41,9 @@ pub fn initial_partition<R: Rng>(
     initial_partition_traced(g, bt, scheme, trials, rng, 0, &Trace::disabled())
 }
 
-/// [`initial_partition`] with a worker-thread knob (`0` = ambient rayon
-/// fan-out; purely a speed knob, results are bit-identical at every value)
+/// [`initial_partition`] with a worker-thread knob (`0` = the installed
+/// pool, any other value installs a pool of that size around the whole
+/// call; purely a speed knob, results are bit-identical at every value)
 /// and telemetry: each growing trial bumps the `init_trial` counter and
 /// the spectral scheme records an `eigen` event per Fiedler solve.
 pub fn initial_partition_traced<R: Rng>(
@@ -65,13 +66,11 @@ pub fn initial_partition_traced<R: Rng>(
     // see the same stream whether we run 1 trial or 100 (and the spectral
     // scheme burns the draw too, so switching schemes is also neutral).
     let base = rng.next_u64();
-    match scheme {
-        InitialPartitioning::GraphGrowing => best_of(g, bt, trials, base, threads, trace, grow_bfs),
-        InitialPartitioning::GreedyGraphGrowing => {
-            best_of(g, bt, trials, base, threads, trace, grow_greedy)
-        }
-        InitialPartitioning::Spectral => spectral_split(g, bt, threads, trace),
-    }
+    mlgp_linalg::with_fanout(threads, || match scheme {
+        InitialPartitioning::GraphGrowing => best_of(g, bt, trials, base, trace, grow_bfs),
+        InitialPartitioning::GreedyGraphGrowing => best_of(g, bt, trials, base, trace, grow_greedy),
+        InitialPartitioning::Spectral => spectral_split(g, bt, trace),
+    })
 }
 
 /// Independent RNG stream for trial `t`: SplitMix64 mix of `(base, t)`,
@@ -113,7 +112,6 @@ fn best_of(
     bt: &BalanceTargets,
     trials: usize,
     base: u64,
-    threads: usize,
     trace: &Trace,
     grow: fn(&CsrGraph, &BalanceTargets, Vid) -> Vec<u8>,
 ) -> Vec<u8> {
@@ -139,14 +137,12 @@ fn best_of(
             (x, None) | (None, x) => x,
         }
     };
-    let best = mlgp_linalg::with_fanout(threads, || {
-        use rayon::prelude::*;
-        (0..trials)
-            .into_par_iter()
-            .with_min_len(1)
-            .map(|t| Some(run_trial(t)))
-            .reduce(|| None, pick)
-    });
+    use rayon::prelude::*;
+    let best = (0..trials)
+        .into_par_iter()
+        .with_min_len(1)
+        .map(|t| Some(run_trial(t)))
+        .reduce(|| None, pick);
     // LINT: allow(panic, trials is clamped to max(1) above, so the reduction always yields Some)
     best.expect("at least one trial ran").part
 }
@@ -258,8 +254,8 @@ fn grow_greedy(g: &CsrGraph, bt: &BalanceTargets, start: Vid) -> Vec<u8> {
 }
 
 /// Spectral bisection: split at the weighted median of the Fiedler vector.
-fn spectral_split(g: &CsrGraph, bt: &BalanceTargets, threads: usize, trace: &Trace) -> Vec<u8> {
-    let (_, fiedler) = mlgp_linalg::fiedler_vector_threads_traced(g, 0x5bec, threads, trace);
+fn spectral_split(g: &CsrGraph, bt: &BalanceTargets, trace: &Trace) -> Vec<u8> {
+    let (_, fiedler) = mlgp_linalg::fiedler_vector_traced(g, 0x5bec, trace);
     split_by_values(g, &fiedler, bt)
 }
 
@@ -355,7 +351,7 @@ mod tests {
         // Grid 20x10: spectral should cut close to the short dimension (10).
         let g = grid2d(20, 10);
         let bt = BalanceTargets::even(g.total_vwgt(), 1.03);
-        let part = spectral_split(&g, &bt, 0, &Trace::disabled());
+        let part = spectral_split(&g, &bt, &Trace::disabled());
         let cut = edge_cut_bisection(&g, &part);
         assert!(cut <= 14, "spectral cut {cut}");
     }

@@ -4,12 +4,11 @@
 //! applied **every other** uncoarsening level.
 
 use mlgp_graph::{CsrGraph, Wgt};
-use mlgp_part::initpart::initial_partition_traced;
+use mlgp_part::initpart::initial_partition;
 use mlgp_part::kway::recursive_kway_with;
 use mlgp_part::refine::fm::BalanceTargets;
 use mlgp_part::refine::{refine_level, BisectState};
 use mlgp_part::{coarsen, InitialPartitioning, MatchingScheme, MlConfig, RefinementPolicy};
-use mlgp_trace::Trace;
 
 /// Configuration for the Chaco-ML baseline.
 #[derive(Clone, Copy, Debug)]
@@ -20,10 +19,6 @@ pub struct ChacoMlConfig {
     pub imbalance: f64,
     /// Seed for the random matchings.
     pub seed: u64,
-    /// Worker threads for the coarsening kernels and the spectral solve
-    /// (`0` = ambient rayon fan-out). Bit-identical results at every
-    /// value.
-    pub threads: usize,
 }
 
 impl Default for ChacoMlConfig {
@@ -32,12 +27,13 @@ impl Default for ChacoMlConfig {
             coarsen_to: 100,
             imbalance: 1.03,
             seed: 1919,
-            threads: 0,
         }
     }
 }
 
-/// Chaco-ML bisection with explicit weight targets.
+/// Chaco-ML bisection with explicit weight targets. Every kernel fans out
+/// under the installed rayon pool; the bisection is bit-identical at every
+/// fan-out.
 pub fn chaco_ml_bisect_targets(g: &CsrGraph, cfg: &ChacoMlConfig, target: [Wgt; 2]) -> Vec<u8> {
     let n = g.n();
     if n == 0 {
@@ -50,21 +46,18 @@ pub fn chaco_ml_bisect_targets(g: &CsrGraph, cfg: &ChacoMlConfig, target: [Wgt; 
         coarsen_to: cfg.coarsen_to,
         imbalance: cfg.imbalance,
         seed: cfg.seed,
-        threads: cfg.threads,
         ..MlConfig::default()
     };
     let bt = BalanceTargets::new(target, cfg.imbalance);
     let mut rng = mlgp_graph::rng::seeded(cfg.seed);
     let h = coarsen(g, &ml, &mut rng);
     // Spectral bisection of the coarsest graph.
-    let mut part = initial_partition_traced(
+    let mut part = initial_partition(
         h.coarsest(),
         &bt,
         InitialPartitioning::Spectral,
         1,
         &mut rng,
-        cfg.threads,
-        &Trace::disabled(),
     );
     {
         let mut state = BisectState::new(h.coarsest(), part);

@@ -30,11 +30,6 @@ pub struct MsbConfig {
     pub imbalance: f64,
     /// Seed for the random matchings.
     pub seed: u64,
-    /// Worker threads for the coarsening kernels, SpMV shards, and vector
-    /// reductions (`0` = ambient rayon fan-out). Bit-identical results at
-    /// every value — the float reductions are deterministic
-    /// chunked-pairwise (see `mlgp_linalg::vecops`).
-    pub threads: usize,
 }
 
 impl Default for MsbConfig {
@@ -45,17 +40,17 @@ impl Default for MsbConfig {
                 max_outer: 6,
                 inner_iters: 50,
                 tol: 1e-5,
-                ..RqiOptions::default()
             },
             imbalance: 1.03,
             seed: 777,
-            threads: 0,
         }
     }
 }
 
 /// Compute the Fiedler vector of `g` with the multilevel algorithm
 /// (coarsest dense solve + per-level interpolation and RQI refinement).
+/// Every kernel fans out under the installed rayon pool; the vector is
+/// bit-identical at every fan-out (see `mlgp_linalg::vecops`).
 pub fn msb_fiedler(g: &CsrGraph, cfg: &MsbConfig) -> Vec<f64> {
     assert!(g.n() >= 2);
     // RM coarsening, reusing the partitioner's coarsening machinery.
@@ -63,7 +58,6 @@ pub fn msb_fiedler(g: &CsrGraph, cfg: &MsbConfig) -> Vec<f64> {
         matching: MatchingScheme::Random,
         coarsen_to: cfg.coarsen_to,
         seed: cfg.seed,
-        threads: cfg.threads,
         ..MlConfig::default()
     };
     let mut rng = mlgp_graph::rng::seeded(cfg.seed);
@@ -95,13 +89,9 @@ pub fn msb_fiedler(g: &CsrGraph, cfg: &MsbConfig) -> Vec<f64> {
 /// eigenvalue *nearest* its starting Rayleigh quotient, which after a crude
 /// piecewise-constant interpolation is not always λ₂.
 fn refine_fiedler(fine: &CsrGraph, interp: &[f64], cfg: &MsbConfig) -> Vec<f64> {
-    let lap = Laplacian::with_threads(fine, cfg.threads);
+    let lap = Laplacian::new(fine);
     let rho_interp = lap.rayleigh(interp);
-    let rqi_opts = RqiOptions {
-        threads: cfg.threads,
-        ..cfg.rqi
-    };
-    let r = rqi_refine(&lap, interp, &rqi_opts);
+    let r = rqi_refine(&lap, interp, &cfg.rqi);
     let converged = r.residual <= 10.0 * cfg.rqi.tol * lap.spectral_upper_bound();
     let not_escaped = r.lambda <= rho_interp * 1.05 + 1e-12;
     if converged && not_escaped {
@@ -115,7 +105,6 @@ fn refine_fiedler(fine: &CsrGraph, interp: &[f64], cfg: &MsbConfig) -> Vec<f64> 
             max_restarts: 4,
             tol: 1e-6,
             seed: cfg.seed,
-            threads: cfg.threads,
         },
     )
     .vector

@@ -62,9 +62,9 @@ DESIGN.md, e.g. gen:4ELT, gen:BC31@0.1).
 
 --stats prints a phase-tree timing summary (CTime/UTime vocabulary) to
 stderr; --trace FILE writes JSONL telemetry; --report-json prints the
-partition quality report as one JSON object on stdout. --threads N runs
-the ml coarsening/metric kernels on N workers (0 = auto); the partition
-is bit-identical for every N.
+partition quality report as one JSON object on stdout. --threads N caps
+every partitioning method at N workers (0 = auto); the partition is
+bit-identical for every N.
 ";
 
 /// Positional arguments and `(name, value)` option pairs.
@@ -185,59 +185,46 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     trace.set_meta("seed", seed);
     trace.set_meta("threads", threads);
     let t = Instant::now();
-    let part: Vec<u32> = match method {
-        "ml" => {
-            // An explicit --threads N also caps the k-way recursion's
-            // rayon fan-out, so N bounds total workers end to end.
-            let run = || {
-                mlgp::part::kway_partition_traced(
-                    &g,
-                    k,
-                    &MlConfig {
-                        seed,
-                        threads,
-                        ..MlConfig::default()
-                    },
-                    &trace,
-                )
-                .part
-            };
-            if threads > 0 {
-                rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .map_err(|e| format!("thread pool: {e:?}"))?
-                    .install(run)
-            } else {
-                run()
-            }
-        }
-        "msb" => msb_kway(
+    // An explicit --threads N installs one pool around the whole dispatch,
+    // so N bounds total workers end to end for every method.
+    let part: Vec<u32> = mlgp::linalg::with_fanout(threads, || match method {
+        "ml" => Ok(mlgp::part::kway_partition_traced(
+            &g,
+            k,
+            &MlConfig {
+                seed,
+                threads,
+                ..MlConfig::default()
+            },
+            &trace,
+        )
+        .part),
+        "msb" => Ok(msb_kway(
             &g,
             k,
             &MsbConfig {
                 seed,
                 ..MsbConfig::default()
             },
-        ),
-        "msb-kl" => msb_kl_kway(
+        )),
+        "msb-kl" => Ok(msb_kl_kway(
             &g,
             k,
             &MsbConfig {
                 seed,
                 ..MsbConfig::default()
             },
-        ),
-        "chaco" => chaco_ml_kway(
+        )),
+        "chaco" => Ok(chaco_ml_kway(
             &g,
             k,
             &ChacoMlConfig {
                 seed,
                 ..ChacoMlConfig::default()
             },
-        ),
-        other => return Err(format!("unknown method `{other}` (ml|msb|msb-kl|chaco)")),
-    };
+        )),
+        other => Err(format!("unknown method `{other}` (ml|msb|msb-kl|chaco)")),
+    })?;
     let elapsed = t.elapsed();
     let cut = edge_cut_kway(&g, &part);
     trace.set_meta("edge_cut", cut);

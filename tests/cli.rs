@@ -239,3 +239,31 @@ fn order_stats_reports_separator_telemetry() {
         assert!(stderr.contains(needle), "missing `{needle}` in:\n{stderr}");
     }
 }
+
+#[test]
+fn threads_flag_caps_spectral_methods_without_changing_the_partition() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for method in ["msb", "chaco"] {
+        let labels: Vec<String> = ["1", "4"]
+            .iter()
+            .map(|threads| {
+                let partfile = dir.join(format!("{method}-{threads}.part"));
+                let out = mlgp()
+                    .args(["partition", "gen:4ELT@0.1", "4", "--method", method])
+                    .args(["--threads", threads, "--out", partfile.to_str().unwrap()])
+                    .output()
+                    .expect("spawn mlgp");
+                assert!(
+                    out.status.success(),
+                    "{method} --threads {threads}: {}",
+                    String::from_utf8_lossy(&out.stderr)
+                );
+                std::fs::read_to_string(&partfile).unwrap()
+            })
+            .collect();
+        assert!(labels[0].lines().count() > 100, "{method}: short partition");
+        assert_eq!(labels[0], labels[1], "{method} differs across --threads");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
