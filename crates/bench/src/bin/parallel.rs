@@ -302,8 +302,8 @@ fn main() {
     if cores == 1 {
         println!("on a single core this run demonstrates overhead-neutrality of the");
         println!("sharded kernels (≈1.0x at every thread count), not speedup; the");
-        println!("shim runs shards on scoped OS threads, so multicore hosts see the");
-        println!("real scaling figure.");
+        println!("shim runs shards on persistent pool workers, so multicore hosts see");
+        println!("the real scaling figure.");
     }
     finish_or_exit(sink);
     if !deterministic {

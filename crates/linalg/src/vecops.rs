@@ -26,8 +26,8 @@
 //! Kernels take their fan-out from the installed rayon pool
 //! (`rayon::current_num_threads()`); [`with_fanout`] is how an entry point
 //! holding a `threads` setting installs one. Inputs below [`PAR_MIN_LEN`]
-//! always run inline — the fork overhead of the scoped-thread shim exceeds
-//! the work there.
+//! always run inline — queueing chunks on the pool's workers and waking
+//! them costs more than the work there.
 
 /// Elements per reduction chunk. 4096 f64s = 32 KiB, half a typical L1 —
 /// small enough that a chunk's serial reduction stays cache-resident,
@@ -35,7 +35,7 @@
 pub const REDUCTION_CHUNK: usize = 4096;
 
 /// Inputs shorter than this run serially even when a fan-out is allowed:
-/// spawning scoped threads costs more than reducing ~16 chunks.
+/// handing chunks to pool workers costs more than reducing ~16 chunks.
 pub const PAR_MIN_LEN: usize = 1 << 16;
 
 /// Whether a kernel over `n` elements fans out: large enough to pay for

@@ -17,6 +17,11 @@
 //! | `P2` | every `Ordering::Relaxed` must carry a `// RELAXED:` justification |
 //! | `R1` | no `.unwrap()` / `.expect(` / `panic!` in library (non-test, non-bin) code |
 //!
+//! The vendored dependency shims under `third_party/*/src` are scanned
+//! too, for `P1` and `P2` only: their `unsafe` and atomics carry the same
+//! proof obligations, while the determinism and panic rules govern the
+//! workspace's own crates.
+//!
 //! Suppression syntax (the reason is **mandatory**; a reasonless
 //! suppression is itself a diagnostic):
 //!
@@ -176,6 +181,8 @@ pub struct FileClass {
     pub may_use_wallclock: bool,
     /// Listed in [`FLOAT_ACCUM_ALLOWLIST`] (D2 exempt).
     pub float_accum_allowed: bool,
+    /// Under `third_party/`: a vendored shim, checked for P1/P2 only.
+    pub is_vendored: bool,
 }
 
 impl FileClass {
@@ -204,6 +211,7 @@ impl FileClass {
         let float_accum_allowed = FLOAT_ACCUM_ALLOWLIST
             .iter()
             .any(|suffix| unix.ends_with(suffix));
+        let is_vendored = unix.starts_with("third_party/") || unix.contains("/third_party/");
         FileClass {
             crate_name,
             is_bin,
@@ -211,6 +219,7 @@ impl FileClass {
             is_kernel,
             may_use_wallclock,
             float_accum_allowed,
+            is_vendored,
         }
     }
 }
@@ -554,6 +563,10 @@ pub fn scan_source(source: &str, class: &FileClass, file: &Path) -> Vec<Diagnost
             );
         }
 
+        if class.is_vendored {
+            continue;
+        }
+
         // ---- D3: wall clock / entropy ------------------------------
         if !class.may_use_wallclock && !class.is_bin && !in_test {
             for tok in WALLCLOCK_TOKENS {
@@ -705,19 +718,15 @@ pub fn scan_file(path: &Path, report_as: &Path) -> Result<Vec<Diagnostic>, Strin
     Ok(scan_source(&source, &class, report_as))
 }
 
-/// Walk `root/crates/*/src`, scanning every `.rs` file in deterministic
-/// (sorted-path) order. Returns all diagnostics, paths relative to `root`.
+/// Walk `root/crates/*/src` and, when present, `root/third_party/*/src`,
+/// scanning every `.rs` file in deterministic (sorted-path) order. Returns
+/// all diagnostics, paths relative to `root`.
 pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
-    let crates_dir = root.join("crates");
     let mut files: Vec<PathBuf> = Vec::new();
-    let entries = std::fs::read_dir(&crates_dir)
-        .map_err(|e| format!("cannot read {}: {e}", crates_dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| format!("readdir failed under crates/: {e}"))?;
-        let src = entry.path().join("src");
-        if src.is_dir() {
-            collect_rs(&src, &mut files)?;
-        }
+    collect_crate_sources(&root.join("crates"), &mut files)?;
+    let vendored = root.join("third_party");
+    if vendored.is_dir() {
+        collect_crate_sources(&vendored, &mut files)?;
     }
     files.sort();
     let mut out = Vec::new();
@@ -726,6 +735,20 @@ pub fn scan_workspace(root: &Path) -> Result<Vec<Diagnostic>, String> {
         out.extend(scan_file(f, rel)?);
     }
     Ok(out)
+}
+
+/// Collect the `.rs` files under `dir/*/src`.
+fn collect_crate_sources(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
+    let entries =
+        std::fs::read_dir(dir).map_err(|e| format!("cannot read {}: {e}", dir.display()))?;
+    for entry in entries {
+        let entry = entry.map_err(|e| format!("readdir failed under {}: {e}", dir.display()))?;
+        let src = entry.path().join("src");
+        if src.is_dir() {
+            collect_rs(&src, files)?;
+        }
+    }
+    Ok(())
 }
 
 fn collect_rs(dir: &Path, files: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -771,6 +794,16 @@ mod tests {
         assert!(t.is_test_file);
         let v = FileClass::from_path(Path::new("crates/linalg/src/vecops.rs"));
         assert!(v.float_accum_allowed);
+        let shim = FileClass::from_path(Path::new("third_party/rayon/src/lib.rs"));
+        assert!(shim.is_vendored && !shim.is_kernel);
+        assert!(!kernel_class().is_vendored);
+    }
+
+    #[test]
+    fn vendored_files_get_only_p1_and_p2() {
+        let shim = FileClass::from_path(Path::new("third_party/rayon/src/lib.rs"));
+        let src = "fn f(p: *const u8, a: &AtomicU32) -> u8 {\n    let _ = Instant::now();\n    a.load(Ordering::Relaxed);\n    Some(1).unwrap();\n    unsafe { *p }\n}\n";
+        assert_eq!(codes(&scan(src, &shim)), ["P2", "P1"]);
     }
 
     #[test]

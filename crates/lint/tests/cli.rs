@@ -2,9 +2,9 @@
 //! live workspace tree.
 //!
 //! The fixtures under `tests/fixtures/{bad,good}` are miniature workspace
-//! trees (`crates/<name>/src/*.rs`) so path classification — kernel
-//! crates, wall-clock crates, test files — applies exactly as it does on
-//! the real tree.
+//! trees (`crates/<name>/src/*.rs`, `third_party/<name>/src/*.rs`) so path
+//! classification — kernel crates, wall-clock crates, test files, vendored
+//! shims — applies exactly as it does on the real tree.
 
 use mlgp_lint::{scan_workspace, Rule};
 use std::path::{Path, PathBuf};
@@ -40,6 +40,8 @@ fn bad_fixtures_fail_with_file_line_diagnostics() {
         ("crates/part/src/relaxed.rs", "[P2]"),
         ("crates/part/src/panics.rs", "[R1]"),
         ("crates/part/src/meta_bad.rs", "[META]"),
+        ("third_party/shim/src/lib.rs", "[P1]"),
+        ("third_party/shim/src/lib.rs", "[P2]"),
     ];
     for (file, rule) in expect {
         let hit = stdout.lines().any(|l| l.contains(file) && l.contains(rule));
@@ -85,6 +87,23 @@ fn bad_fixture_lines_are_precise() {
     assert!(has("panics.rs", Rule::R1PanicFree, 12), "{diags:?}");
     // The META fixture's reasonless allow is line 3.
     assert!(has("meta_bad.rs", Rule::Meta, 3), "{diags:?}");
+    // The vendored shim's unsafe block is line 6, its Relaxed line 10;
+    // its wall clock and unwrap (line 14) are outside the P1/P2 scope.
+    assert!(has("shim/src/lib.rs", Rule::P1UnsafeSafety, 6), "{diags:?}");
+    assert!(
+        has("shim/src/lib.rs", Rule::P2RelaxedJustify, 10),
+        "{diags:?}"
+    );
+    let shim_rules: Vec<Rule> = diags
+        .iter()
+        .filter(|d| d.file.starts_with("third_party"))
+        .map(|d| d.rule)
+        .collect();
+    assert_eq!(
+        shim_rules,
+        [Rule::P1UnsafeSafety, Rule::P2RelaxedJustify],
+        "{diags:?}"
+    );
 }
 
 #[test]

@@ -138,7 +138,7 @@ impl Matching {
 const NONE: u32 = u32::MAX;
 
 /// Below this vertex count the auto-threaded kernel stays on one shard
-/// (spawn overhead would dominate). Explicit thread requests are honored
+/// (the cost of handing shards to pool workers would dominate). Explicit thread requests are honored
 /// exactly, whatever the size — the result is identical either way.
 pub(crate) const MIN_PARALLEL_N: usize = 8192;
 
