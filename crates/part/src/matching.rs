@@ -37,9 +37,23 @@
 //! finishes the matching. The result is therefore a pure function of
 //! `(graph, scheme, seed)`: same seed + any thread count → same matching.
 //!
-//! All schemes run in `O(|E|)` per round; on meshes the active set decays
-//! geometrically, giving `O(|E| log |V|)` worst-case but ≈ 2–3 passes of
-//! total edge-scan work in practice.
+//! # Cost: the candidate memo
+//!
+//! The handshake needs many rounds: on unit-weight 27-point grids (the 3D
+//! stiffness class) it runs 30–34 rounds of its 34–38-round bound, and the
+//! active set shrinks by only a few percent a round. Rescanning every
+//! active vertex's adjacency each round would read ≈ 13× nnz entries per
+//! call. Instead each shard keeps, for every vertex it owns, a memo of
+//! the `MEMO_K` = 4 best unmatched neighbors found by that vertex's last full
+//! scan, in key order. Within one call every edge key is fixed and the set
+//! of unmatched vertices only shrinks, so the first memo entry that is
+//! still unmatched *is* the vertex's current best: a neighbor left out of
+//! the memo ranked below every entry, or was already matched. A vertex
+//! rescans its adjacency only when every remembered candidate has been
+//! matched, and retires without a rescan when its last scan saw no
+//! unmatched neighbor beyond the memo. On the grids above this holds scan
+//! work to ≈ 3× nnz per call; the proposals, and so the round count and
+//! the matching, are exactly those of a full rescan.
 
 use crate::config::MatchingScheme;
 use mlgp_graph::rng::random_order;
@@ -66,7 +80,9 @@ pub struct MatchStats {
     pub shards: usize,
     /// Whether the bounded-round sequential sweep had to finish the job.
     pub fallback: bool,
-    /// Adjacency entries scanned, per shard (cumulative over rounds).
+    /// Adjacency entries read by full rescans, per shard (cumulative over
+    /// rounds). Proposals answered from a vertex's candidate memo read no
+    /// adjacency and are not counted.
     pub edges_scanned: Vec<u64>,
 }
 
@@ -134,8 +150,11 @@ impl Matching {
     }
 }
 
-/// Sentinel for "no proposal".
+/// Sentinel for "no proposal" and for an empty memo slot.
 const NONE: u32 = u32::MAX;
+
+/// Candidates remembered per vertex between rounds.
+const MEMO_K: usize = 4;
 
 /// Below this vertex count the auto-threaded kernel stays on one shard
 /// (the cost of handing shards to pool workers would dominate). Explicit thread requests are honored
@@ -192,11 +211,7 @@ pub fn compute_matching_threads<R: Rng>(
     let proposal: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NONE)).collect();
     let mut shards: Vec<Shard> = shard_bounds(n, nshards)
         .into_iter()
-        .map(|(lo, hi)| Shard {
-            active: (lo as u32..hi as u32).collect(),
-            pairs: 0,
-            edges: 0,
-        })
+        .map(|(lo, hi)| Shard::new(lo as Vid, hi as Vid))
         .collect();
 
     let mut stats = MatchStats {
@@ -214,32 +229,7 @@ pub fn compute_matching_threads<R: Rng>(
             .par_iter_mut()
             .enumerate()
             .with_min_len(1)
-            .for_each(|(_, sh)| {
-                let mut scanned = 0u64;
-                // RELAXED: phase-local single-writer slots. During the
-                // propose phase `partner` is read-only and `proposal[v]`
-                // is written only by the shard that owns `v`; the
-                // happens-before edge between rounds is the rayon
-                // fork/join barrier, not the atomics themselves.
-                sh.active.retain(|&v| {
-                    if partner[v as usize].load(Ordering::Relaxed) != v {
-                        proposal[v as usize].store(NONE, Ordering::Relaxed);
-                        return false;
-                    }
-                    scanned += g.degree(v) as u64;
-                    match best_candidate(g, v, &partner, &rank, &score) {
-                        Some(u) => {
-                            proposal[v as usize].store(u, Ordering::Relaxed);
-                            true
-                        }
-                        None => {
-                            proposal[v as usize].store(NONE, Ordering::Relaxed);
-                            false
-                        }
-                    }
-                });
-                sh.edges += scanned;
-            });
+            .for_each(|(_, sh)| sh.propose(g, &partner, &proposal, &rank, &score));
         let active_total: usize = shards.iter().map(|sh| sh.active.len()).sum();
         if active_total == 0 {
             break;
@@ -257,6 +247,7 @@ pub fn compute_matching_threads<R: Rng>(
                 // slot that only the unique lower endpoint of a mutual
                 // pair ever claims (so it cannot be contended), and the
                 // claimed partners are next read after the round barrier.
+                let mut pairs = 0;
                 for &v in &sh.active {
                     let u = proposal[v as usize].load(Ordering::Relaxed);
                     if u == NONE || u <= v {
@@ -276,9 +267,10 @@ pub fn compute_matching_threads<R: Rng>(
                             Ordering::Relaxed,
                         );
                         debug_assert!(a.is_ok() && b.is_ok(), "claim slot contended");
-                        sh.pairs += 1;
+                        pairs += 1;
                     }
                 }
+                sh.pairs = pairs;
             });
         stats.rounds += 1;
         // Progress is guaranteed (the max-key available edge is mutual),
@@ -289,9 +281,6 @@ pub fn compute_matching_threads<R: Rng>(
             sequential_sweep(g, &order, &partner, &rank, &score);
             stats.fallback = true;
             break;
-        }
-        for sh in shards.iter_mut() {
-            sh.pairs = 0;
         }
     }
     stats.edges_scanned = shards.iter().map(|sh| sh.edges).collect();
@@ -307,11 +296,116 @@ pub fn compute_matching_threads<R: Rng>(
 }
 
 /// Per-shard kernel state: the vertices of one contiguous range that are
-/// still unmatched and still have unmatched neighbors.
+/// still unmatched and still have unmatched neighbors, and the candidate
+/// memo of every vertex in the range. The phases count into locals and
+/// store once, since the shards' structs share cache lines.
 struct Shard {
+    lo: Vid,
     active: Vec<Vid>,
+    /// Indexed by `v - lo`.
+    memo: Vec<Memo>,
+    /// Pairs claimed in the last claim phase.
     pairs: u64,
     edges: u64,
+}
+
+impl Shard {
+    fn new(lo: Vid, hi: Vid) -> Shard {
+        Shard {
+            lo,
+            active: (lo..hi).collect(),
+            memo: vec![Memo::UNSCANNED; (hi - lo) as usize],
+            pairs: 0,
+            edges: 0,
+        }
+    }
+
+    /// The propose phase for this shard: publish every active vertex's best
+    /// unmatched neighbor and retire the vertices that have none.
+    fn propose(
+        &mut self,
+        g: &CsrGraph,
+        partner: &[AtomicU32],
+        proposal: &[AtomicU32],
+        rank: &[u32],
+        score: &Scorer<'_>,
+    ) {
+        let (lo, memo) = (self.lo, &mut self.memo);
+        let mut scanned = 0;
+        // RELAXED: phase-local single-writer slots. During the propose
+        // phase `partner` is read-only and `proposal[v]` is written only by
+        // the shard that owns `v`; the happens-before edge between rounds
+        // is the rayon fork/join barrier, not the atomics themselves.
+        self.active.retain(|&v| {
+            let best = if partner[v as usize].load(Ordering::Relaxed) != v {
+                NONE
+            } else {
+                memo[(v - lo) as usize].best(g, v, partner, rank, score, &mut scanned)
+            };
+            proposal[v as usize].store(best, Ordering::Relaxed);
+            best != NONE
+        });
+        self.edges += scanned;
+    }
+}
+
+/// One vertex's best unmatched neighbors as of its last full scan, in
+/// descending key order, `NONE`-padded (20 bytes).
+#[derive(Clone, Copy)]
+struct Memo {
+    cand: [Vid; MEMO_K],
+    /// Low bits: index of the first entry not yet seen matched. `MORE`:
+    /// the scan saw more unmatched neighbors than the memo holds.
+    cursor: u8,
+}
+
+const _: () = assert!(std::mem::size_of::<Memo>() <= 20);
+
+/// [`Memo::cursor`] flag: entries past the memo exist, so an exhausted
+/// memo calls for a rescan rather than retirement.
+const MORE: u8 = 0x80;
+
+impl Memo {
+    /// Never scanned: the first proposal rescans.
+    const UNSCANNED: Memo = Memo {
+        cand: [NONE; MEMO_K],
+        cursor: MORE,
+    };
+
+    /// `v`'s best unmatched neighbor (`NONE` if it has none): the first
+    /// remembered candidate still unmatched, else the result of a full
+    /// rescan, which refills the memo and adds `v`'s degree to `scanned`.
+    #[inline]
+    fn best(
+        &mut self,
+        g: &CsrGraph,
+        v: Vid,
+        partner: &[AtomicU32],
+        rank: &[u32],
+        score: &Scorer<'_>,
+        scanned: &mut u64,
+    ) -> Vid {
+        let start = (self.cursor & !MORE) as usize;
+        for (i, &u) in self.cand.iter().enumerate().skip(start) {
+            if u == NONE {
+                break;
+            }
+            // RELAXED: `partner` is frozen during the propose phase; see
+            // `Shard::propose`.
+            if partner[u as usize].load(Ordering::Relaxed) == u {
+                self.cursor = (self.cursor & MORE) | i as u8;
+                return u;
+            }
+        }
+        if self.cursor & MORE == 0 {
+            return NONE;
+        }
+        *scanned += g.degree(v) as u64;
+        let (cand, more) = top_candidates::<MEMO_K>(g, v, partner, rank, score);
+        self.cand = cand;
+        self.cursor = if more { MORE } else { 0 };
+        cand[0]
+    }
 }
 
 /// Shard count: explicit requests are honored exactly (so tests can force
@@ -380,30 +474,43 @@ fn splitmix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The symmetric total-order key of edge `(v, u)`: `(score, rmin, rmax)`.
-/// Distinct ranks make the order strict, which is what rules out proposal
-/// cycles (the globally maximal available edge is always mutual).
+/// The symmetric total-order key of edge `(v, u)`: `(score, rmin, rmax)`
+/// packed into one integer that compares like the tuple compared
+/// lexicographically. Distinct ranks make the order strict, which is what
+/// rules out proposal cycles (the globally maximal available edge is always
+/// mutual).
 #[inline]
-fn edge_key(rank: &[u32], score: f64, v: Vid, u: Vid) -> (f64, u32, u32) {
+fn edge_key(rank: &[u32], score: f64, v: Vid, u: Vid) -> u128 {
     let (rv, ru) = (rank[v as usize], rank[u as usize]);
-    (score, rv.min(ru), rv.max(ru))
+    // `-0.0 == 0.0` as scores (LEM scores a zero-weight edge `-0.0`), so
+    // both must map to the same bits. Flipping the sign bit of
+    // non-negative scores and every bit of negative ones then makes the
+    // unsigned order of the bits the numeric order of the scores.
+    let bits = if score == 0.0 { 0 } else { score.to_bits() };
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    (ordered as u128) << 64 | (rv.min(ru) as u128) << 32 | rv.max(ru) as u128
 }
 
+/// The up-to-`K` best unmatched neighbors of `v` under the edge key, in
+/// descending key order and `NONE`-padded, and whether `v` has more
+/// unmatched neighbors than that.
 #[inline]
-fn key_gt(a: (f64, u32, u32), b: (f64, u32, u32)) -> bool {
-    a.0 > b.0 || (a.0 == b.0 && (a.1 > b.1 || (a.1 == b.1 && a.2 > b.2)))
-}
-
-/// Best unmatched neighbor of `v` under the symmetric edge key, or `None`.
-#[inline]
-fn best_candidate(
+fn top_candidates<const K: usize>(
     g: &CsrGraph,
     v: Vid,
     partner: &[AtomicU32],
     rank: &[u32],
     score: &Scorer<'_>,
-) -> Option<Vid> {
-    let mut best: Option<((f64, u32, u32), Vid)> = None;
+) -> ([Vid; K], bool) {
+    // Every edge key is above 0 (its score half is nonzero), so 0 marks
+    // an empty slot.
+    let mut keys = [0u128; K];
+    let mut ids = [NONE; K];
+    let mut more = false;
     for (u, w) in g.adj(v) {
         // RELAXED: `partner` is frozen during the propose phase (claims
         // happen in the next phase, after a fork/join barrier), so this
@@ -413,11 +520,21 @@ fn best_candidate(
             continue;
         }
         let key = edge_key(rank, score.score(v, u, w), v, u);
-        if best.is_none_or(|(bk, _)| key_gt(key, bk)) {
-            best = Some((key, u));
+        if key <= keys[K - 1] {
+            more = true;
+            continue;
         }
+        more |= keys[K - 1] != 0;
+        let mut j = K - 1;
+        while j > 0 && keys[j - 1] < key {
+            keys[j] = keys[j - 1];
+            ids[j] = ids[j - 1];
+            j -= 1;
+        }
+        keys[j] = key;
+        ids[j] = u;
     }
-    best.map(|(_, u)| u)
+    (ids, more)
 }
 
 /// Deterministic sequential finisher: greedy sweep in rank order, matching
@@ -438,7 +555,8 @@ fn sequential_sweep(
         if partner[v as usize].load(Ordering::Relaxed) != v {
             continue;
         }
-        if let Some(u) = best_candidate(g, v, partner, rank, score) {
+        let u = top_candidates::<1>(g, v, partner, rank, score).0[0];
+        if u != NONE {
             partner[v as usize].store(u, Ordering::Relaxed);
             partner[u as usize].store(v, Ordering::Relaxed);
         }
@@ -448,9 +566,206 @@ fn sequential_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlgp_graph::generators::{grid2d, tri_mesh2d};
+    use crate::contract::contract;
+    use mlgp_graph::generators::{grid2d, powerlaw, stiffness3d, tet_mesh3d, tri_mesh2d};
     use mlgp_graph::rng::seeded;
     use mlgp_graph::GraphBuilder;
+
+    /// The full-rescan kernel the memo replaced, run serially as an oracle:
+    /// every round re-reads every active vertex's whole adjacency and
+    /// compares edges by the `(score, rmin, rmax)` tuple. Returns the
+    /// matching, the round count and whether the sweep ran.
+    fn reference_matching(
+        g: &CsrGraph,
+        scheme: MatchingScheme,
+        cewgt: &[Wgt],
+        seed: u64,
+    ) -> (Matching, usize, bool) {
+        fn key_gt(a: (f64, u32, u32), b: (f64, u32, u32)) -> bool {
+            a.0 > b.0 || (a.0 == b.0 && (a.1 > b.1 || (a.1 == b.1 && a.2 > b.2)))
+        }
+        let rng = &mut seeded(seed);
+        let n = g.n();
+        let order = random_order(rng, n);
+        let salt = rng.next_u64();
+        let mut rank = vec![0u32; n];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v as usize] = i as u32;
+        }
+        let score = Scorer {
+            scheme,
+            salt,
+            g,
+            cewgt,
+        };
+        let best = |partner: &[Vid], v: Vid| -> Vid {
+            let mut best: Option<((f64, u32, u32), Vid)> = None;
+            for (u, w) in g.adj(v) {
+                if partner[u as usize] != u {
+                    continue;
+                }
+                let (rv, ru) = (rank[v as usize], rank[u as usize]);
+                let key = (score.score(v, u, w), rv.min(ru), rv.max(ru));
+                if best.is_none_or(|(bk, _)| key_gt(key, bk)) {
+                    best = Some((key, u));
+                }
+            }
+            best.map_or(NONE, |(_, u)| u)
+        };
+        let mut partner: Vec<Vid> = (0..n as Vid).collect();
+        let mut proposal = vec![NONE; n];
+        let mut active: Vec<Vid> = (0..n as Vid).collect();
+        let (mut rounds, mut fallback) = (0, false);
+        loop {
+            active.retain(|&v| {
+                let u = if partner[v as usize] != v {
+                    NONE
+                } else {
+                    best(&partner, v)
+                };
+                proposal[v as usize] = u;
+                u != NONE
+            });
+            if active.is_empty() {
+                break;
+            }
+            let mut pairs = 0;
+            for &v in &active {
+                let u = proposal[v as usize];
+                if u != NONE && u > v && proposal[u as usize] == v {
+                    partner[v as usize] = u;
+                    partner[u as usize] = v;
+                    pairs += 1;
+                }
+            }
+            rounds += 1;
+            if rounds >= max_rounds(n) || pairs == 0 {
+                for &v in &order {
+                    if partner[v as usize] == v {
+                        let u = best(&partner, v);
+                        if u != NONE {
+                            partner[v as usize] = u;
+                            partner[u as usize] = v;
+                        }
+                    }
+                }
+                fallback = true;
+                break;
+            }
+        }
+        let pairs = (0..n as Vid).filter(|&v| partner[v as usize] > v).count();
+        (Matching { partner, pairs }, rounds, fallback)
+    }
+
+    /// Thread counts for the differential tests, plus `MLGP_THREADS` when
+    /// it is set.
+    fn thread_counts() -> Vec<usize> {
+        let mut counts = vec![1usize, 2, 3, 8];
+        if let Some(t) = std::env::var("MLGP_THREADS")
+            .ok()
+            .and_then(|v| v.trim().parse::<usize>().ok())
+        {
+            if t > 0 && !counts.contains(&t) {
+                counts.push(t);
+            }
+        }
+        counts
+    }
+
+    /// A monotone-weight path: every vertex proposes toward the heavy end,
+    /// so each handshake round matches exactly one pair.
+    fn monotone_chain(n: u32) -> CsrGraph {
+        let mut b = GraphBuilder::new(n as usize);
+        for v in 0..n - 1 {
+            b.add_weighted_edge(v, v + 1, (v + 1) as i64);
+        }
+        b.build()
+    }
+
+    /// A coarse level with nonzero `cewgt` and varied edge and vertex
+    /// weights: two rounds of HCM matching and contraction.
+    fn hcm_coarse_level() -> (CsrGraph, Vec<Wgt>) {
+        let mut g = tet_mesh3d(10, 10, 10, 4);
+        let mut cewgt = vec![0; g.n()];
+        for seed in 0..2 {
+            let m = compute_matching(&g, MatchingScheme::HeavyClique, &cewgt, &mut seeded(seed));
+            let (cmap, nc) = m.to_cmap();
+            let c = contract(&g, &cmap, nc, &cewgt);
+            g = c.graph;
+            cewgt = c.cewgt;
+        }
+        assert!(cewgt.iter().any(|&w| w > 0));
+        (g, cewgt)
+    }
+
+    #[test]
+    fn memo_kernel_matches_full_rescan_oracle() {
+        let zero = |g: &CsrGraph| vec![0; g.n()];
+        let hubs = powerlaw(1500, 3, 11);
+        assert!(hubs.max_degree() > 4 * MEMO_K);
+        let mut cases: Vec<(&str, CsrGraph, Vec<Wgt>)> = vec![
+            ("stiffness3d", stiffness3d(9, 8, 7), Vec::new()),
+            ("powerlaw", hubs, Vec::new()),
+            ("monotone chain", monotone_chain(600), Vec::new()),
+        ];
+        let (coarse, cewgt) = hcm_coarse_level();
+        cases.push(("hcm coarse level", coarse, cewgt));
+        for (name, g, cewgt) in &mut cases {
+            if cewgt.is_empty() {
+                *cewgt = zero(g);
+            }
+            for scheme in MatchingScheme::all() {
+                for seed in [1, 7, 40] {
+                    let (want, rounds, fallback) = reference_matching(g, scheme, cewgt, seed);
+                    if *name == "monotone chain" && scheme == MatchingScheme::HeavyEdge {
+                        assert!(fallback, "the chain should trip the round bound");
+                    }
+                    for threads in thread_counts() {
+                        let ctx = format!("{name} {scheme:?} seed {seed} @ {threads} threads");
+                        let (got, st) =
+                            compute_matching_threads(g, scheme, cewgt, &mut seeded(seed), threads);
+                        assert_eq!(got.partner, want.partner, "{ctx}");
+                        assert_eq!(got.pairs, want.pairs, "{ctx}");
+                        assert_eq!(st.rounds, rounds, "{ctx}");
+                        assert_eq!(st.fallback, fallback, "{ctx}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_bounds_scan_work_on_stiffness_grids() {
+        // A full rescan every round reads ≈ 13× nnz here (30+ rounds with a
+        // slowly shrinking active set); the memo must keep it under 4×.
+        let g = stiffness3d(20, 20, 20);
+        let cewgt = vec![0; g.n()];
+        for threads in [1, 4] {
+            let (_, st) = compute_matching_threads(
+                &g,
+                MatchingScheme::HeavyEdge,
+                &cewgt,
+                &mut seeded(3),
+                threads,
+            );
+            let scanned: u64 = st.edges_scanned.iter().sum();
+            assert!(
+                scanned <= 4 * g.nnz() as u64,
+                "{threads} threads: scanned {scanned} > 4 × nnz {}",
+                g.nnz()
+            );
+        }
+    }
+
+    #[test]
+    fn edge_key_folds_negative_zero() {
+        let rank = [0, 1, 2];
+        assert_eq!(edge_key(&rank, -0.0, 0, 1), edge_key(&rank, 0.0, 0, 1));
+        assert!(edge_key(&rank, -1.0, 0, 1) < edge_key(&rank, -0.0, 0, 1));
+        assert!(edge_key(&rank, 0.0, 0, 1) < edge_key(&rank, 0.5, 0, 1));
+        assert!(edge_key(&rank, 1.0, 0, 1) < edge_key(&rank, 1.0, 0, 2));
+        assert!(edge_key(&rank, 1.0, 0, 2) < edge_key(&rank, 1.0, 1, 2));
+    }
 
     fn check_all_schemes(g: &CsrGraph) {
         let cewgt = vec![0; g.n()];
@@ -578,12 +893,7 @@ mod tests {
         // Monotone-weight path: every vertex proposes toward the heavy end,
         // so each handshake round matches exactly one pair — the worst case
         // that trips the round bound and exercises the sequential sweep.
-        let n = 600u32;
-        let mut b = GraphBuilder::new(n as usize);
-        for v in 0..n - 1 {
-            b.add_weighted_edge(v, v + 1, (v + 1) as i64);
-        }
-        let g = b.build();
+        let g = monotone_chain(600);
         let cewgt = vec![0; g.n()];
         let (m1, s1) =
             compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(2), 1);
