@@ -101,35 +101,67 @@ impl GraphBuilder {
             adjwgt[cv] = w;
             cursor[v as usize] += 1;
         }
-        // Per-row sort + merge duplicates, compacting in place.
-        let mut out_xadj = vec![0u32; n + 1];
-        let mut write = 0usize;
-        for v in 0..n {
-            let start = xadj[v] as usize;
-            let end = xadj[v + 1] as usize;
-            let mut row: Vec<(Vid, Wgt)> = adjncy[start..end]
-                .iter()
-                .copied()
-                .zip(adjwgt[start..end].iter().copied())
-                .collect();
-            row.sort_unstable_by_key(|&(u, _)| u);
-            let row_start = write;
-            for (u, w) in row {
-                if write > row_start && adjncy[write - 1] == u {
-                    adjwgt[write - 1] += w;
-                } else {
-                    adjncy[write] = u;
-                    adjwgt[write] = w;
-                    write += 1;
-                }
-            }
-            out_xadj[v + 1] = write as u32;
-        }
-        adjncy.truncate(write);
-        adjwgt.truncate(write);
+        // Sort each row and sum parallel entries, compacting in place.
+        sort_rows(&xadj, &mut adjncy, &mut adjwgt);
+        fold_sorted_rows(&mut xadj, &mut adjncy, &mut adjwgt, |a, b| a + b);
         let vwgt = self.vwgt.unwrap_or_else(|| vec![1; n]);
-        CsrGraph::from_parts_unchecked(out_xadj, adjncy, vwgt, adjwgt)
+        CsrGraph::from_parts_unchecked(xadj, adjncy, vwgt, adjwgt)
     }
+}
+
+/// Sort every CSR row by `(neighbor, weight)` in place. Rows already in
+/// order are left alone; the others go through one scratch buffer shared by
+/// all rows.
+pub(crate) fn sort_rows(xadj: &[u32], adjncy: &mut [Vid], adjwgt: &mut [Wgt]) {
+    let mut scratch: Vec<(Vid, Wgt)> = Vec::new();
+    for r in xadj.windows(2) {
+        let (start, end) = (r[0] as usize, r[1] as usize);
+        let (nbrs, wgts) = (&mut adjncy[start..end], &mut adjwgt[start..end]);
+        let sorted = (1..nbrs.len()).all(|i| (nbrs[i - 1], wgts[i - 1]) <= (nbrs[i], wgts[i]));
+        if sorted {
+            continue;
+        }
+        scratch.clear();
+        scratch.extend(nbrs.iter().copied().zip(wgts.iter().copied()));
+        scratch.sort_unstable();
+        for ((u, w), &(su, sw)) in nbrs.iter_mut().zip(wgts.iter_mut()).zip(&scratch) {
+            *u = su;
+            *w = sw;
+        }
+    }
+}
+
+/// Fold each run of equal neighbors in CSR rows sorted by neighbor into one
+/// entry whose weight is `merge` over the run's weights, compacting the
+/// arrays in place and rewriting `xadj` to the folded rows.
+pub(crate) fn fold_sorted_rows(
+    xadj: &mut [u32],
+    adjncy: &mut Vec<Vid>,
+    adjwgt: &mut Vec<Wgt>,
+    mut merge: impl FnMut(Wgt, Wgt) -> Wgt,
+) {
+    let mut write = 0usize;
+    let mut start = 0usize;
+    for v in 0..xadj.len().saturating_sub(1) {
+        // `xadj[v]` already holds the folded offset; the row's own end is
+        // still unread.
+        let end = xadj[v + 1] as usize;
+        let row_start = write;
+        for i in start..end {
+            let (u, w) = (adjncy[i], adjwgt[i]);
+            if write > row_start && adjncy[write - 1] == u {
+                adjwgt[write - 1] = merge(adjwgt[write - 1], w);
+            } else {
+                adjncy[write] = u;
+                adjwgt[write] = w;
+                write += 1;
+            }
+        }
+        xadj[v + 1] = write as u32;
+        start = end;
+    }
+    adjncy.truncate(write);
+    adjwgt.truncate(write);
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! mlgp partition <graph> <k> [--report] [--report-json] [--stats] [--trace FILE]
 //!                            [--method ml|msb|msb-kl|chaco] [--seed N] [--out FILE]
 //! mlgp order     <graph>     [--method mlnd|mmd|snd] [--stats] [--trace FILE] [--out FILE]
-//! mlgp gen       <key> <out.graph> [--scale F]   # write a suite graph
+//! mlgp gen       <key> <out> [--scale F]   # write a suite graph (.mtx → MatrixMarket)
 //! mlgp info      <graph>
 //! ```
 //!
@@ -54,11 +54,12 @@ USAGE:
                              [--method ml|msb|msb-kl|chaco] [--seed N] [--out FILE]
                              [--threads N]
   mlgp order     <graph>     [--method mlnd|mmd|snd] [--stats] [--trace FILE] [--out FILE]
-  mlgp gen       <key> <out.graph> [--scale F]
+  mlgp gen       <key> <out> [--scale F]
   mlgp info      <graph>
 
 <graph> is a .graph/.mtx file or gen:<KEY>[@SCALE] (see `mlgp gen` keys in
-DESIGN.md, e.g. gen:4ELT, gen:BC31@0.1).
+DESIGN.md, e.g. gen:4ELT, gen:BC31@0.1). `gen` writes MatrixMarket when
+<out> ends in .mtx (structure only) and Chaco/METIS otherwise.
 
 --stats prints a phase-tree timing summary (CTime/UTime vocabulary) to
 stderr; --trace FILE writes JSONL telemetry; --report-json prints the
@@ -290,7 +291,7 @@ fn cmd_order(args: &[String]) -> Result<(), String> {
 fn cmd_gen(args: &[String]) -> Result<(), String> {
     let (pos, opts) = split_opts(args)?;
     let [key, out] = pos.as_slice() else {
-        return Err(format!("gen needs <key> <out.graph>\n{USAGE}"));
+        return Err(format!("gen needs <key> <out>\n{USAGE}"));
     };
     let scale: f64 = opt(&opts, "scale")
         .map(|s| s.parse().map_err(|_| format!("bad scale `{s}`")))

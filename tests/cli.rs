@@ -77,6 +77,81 @@ fn gen_then_partition_file_round_trip() {
 }
 
 #[test]
+fn gen_then_partition_through_both_extensions() {
+    // `gen` writes the format the extension names, as `partition` reads it.
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-ext-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut labels = Vec::new();
+    for ext in ["graph", "mtx"] {
+        let graph = dir.join(format!("t.{ext}"));
+        let out = mlgp()
+            .args(["gen", "BSP10", graph.to_str().unwrap(), "--scale", "0.1"])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{ext}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let body = std::fs::read(&graph).unwrap();
+        assert_eq!(body.starts_with(b"%%MatrixMarket"), ext == "mtx", "{ext}");
+        let partfile = dir.join(format!("t.{ext}.part"));
+        let out = mlgp()
+            .args([
+                "partition",
+                graph.to_str().unwrap(),
+                "2",
+                "--out",
+                partfile.to_str().unwrap(),
+            ])
+            .output()
+            .unwrap();
+        assert!(
+            out.status.success(),
+            "{ext}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        labels.push(std::fs::read_to_string(&partfile).unwrap());
+    }
+    // BSP10 has unit weights, so both files hold the same graph.
+    assert!(labels[0].lines().count() > 100);
+    assert_eq!(labels[0], labels[1]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn malformed_graph_files_fail_with_a_line_numbered_error() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases = [
+        ("token.graph", "3 2\n2\nx 3\n2\n", 3),
+        // A zero edge weight used to trip an assertion in the builder.
+        ("weight.graph", "2 1 1\n2 0\n1 0\n", 2),
+        (
+            "index.mtx",
+            "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n1 q\n",
+            3,
+        ),
+    ];
+    for (name, body, line) in cases {
+        let path = dir.join(name);
+        std::fs::write(&path, body).unwrap();
+        let out = mlgp()
+            .args(["info", path.to_str().unwrap()])
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(!out.status.success(), "{name}: {stderr}");
+        assert!(
+            stderr.contains(&format!("parse error: line {line}")),
+            "{name}: {stderr}"
+        );
+        assert!(!stderr.contains("panicked"), "{name}: {stderr}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn bare_report_flag_is_boolean() {
     let out = mlgp()
         .args(["partition", "gen:LS34@0.2", "2", "--report"])
