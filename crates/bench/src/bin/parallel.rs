@@ -30,9 +30,10 @@ use mlgp_graph::generators::tri_mesh2d;
 use mlgp_graph::rng::seeded;
 use mlgp_linalg::{lanczos_fiedler, vecops, with_fanout, LanczosOptions, Laplacian, SymOp};
 use mlgp_part::{
-    coarsen, compute_matching_threads, contract_threads, edge_cut_kway, kway_partition_refined,
-    metrics, part_weights, MatchingScheme, MlConfig, PhaseTimes,
+    coarsen, compute_matching_threads, contract_threads, edge_cut_kway,
+    kway_partition_refined_traced, metrics, part_weights, MatchingScheme, MlConfig,
 };
+use mlgp_trace::{Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
 
 const THREADS: [usize; 4] = [1, 2, 4, 8];
 const SEED: u64 = 4242;
@@ -148,11 +149,15 @@ fn main() {
     // `kway_partition_refined` run per thread count with `cfg.threads`
     // driving every kernel, fingerprinting the final labeling + cut.
     println!("\nfull pipeline (kway_partition_refined, k=8), per-phase:");
-    let mut runs: Vec<(usize, PhaseTimes, f64)> = Vec::new();
+    // Per run: coarsen, init, refine, project and total seconds.
+    let mut runs: Vec<(usize, [f64; 5])> = Vec::new();
     let mut reference: Option<u64> = None;
     for &nt in &THREADS {
         let cfg = MlConfig { threads: nt, ..cfg };
-        let (r, total) = with_fanout(nt, || timed(|| kway_partition_refined(&g, 8, &cfg)));
+        let trace = Trace::enabled();
+        let (r, total) = with_fanout(nt, || {
+            timed(|| kway_partition_refined_traced(&g, 8, &cfg, &trace))
+        });
         let fp = fingerprint(r.part.iter().map(|&x| x as u64).chain([r.edge_cut as u64]));
         match reference {
             None => reference = Some(fp),
@@ -162,26 +167,27 @@ fn main() {
             }
             _ => {}
         }
-        runs.push((nt, r.times, total));
+        let span = |path| trace.span_total(path).unwrap_or_default().as_secs_f64();
+        let secs = [
+            span(SPAN_COARSEN),
+            span(SPAN_INIT),
+            span(SPAN_REFINE),
+            span(SPAN_PROJECT),
+            total,
+        ];
+        runs.push((nt, secs));
     }
     println!(
         "{:<10} | {}",
         "phase",
         THREADS.map(|t| format!("{t:>8} thr")).join(" ")
     );
-    type PhaseGetter = fn(&PhaseTimes, f64) -> f64;
-    let phases: [(&str, PhaseGetter); 5] = [
-        ("coarsen", |t, _| t.coarsen.as_secs_f64()),
-        ("init", |t, _| t.init.as_secs_f64()),
-        ("refine", |t, _| t.refine.as_secs_f64()),
-        ("project", |t, _| t.project.as_secs_f64()),
-        ("total", |_, total| total),
-    ];
-    for (phase, get) in phases {
-        let t1 = get(&runs[0].1, runs[0].2);
+    let phases = ["coarsen", "init", "refine", "project", "total"];
+    for (i, phase) in phases.into_iter().enumerate() {
+        let t1 = runs[0].1[i];
         let mut row = Vec::new();
-        for (nt, times, total) in &runs {
-            let secs = get(times, *total);
+        for (nt, times) in &runs {
+            let secs = times[i];
             let speedup = if secs > 0.0 { t1 / secs } else { 1.0 };
             row.push(format!("{:>6.3}s{:>5}", secs, format!("{speedup:.1}x")));
             sink.row(|o| {

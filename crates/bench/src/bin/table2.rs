@@ -8,7 +8,8 @@
 
 use mlgp_bench::{finish_or_exit, group_thousands, timed, BenchOpts};
 use mlgp_graph::generators::table_rows;
-use mlgp_part::{kway_partition, MatchingScheme, MlConfig};
+use mlgp_part::{kway_partition_traced, MatchingScheme, MlConfig};
+use mlgp_trace::{Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -32,12 +33,20 @@ fn main() {
                 matching: m,
                 ..MlConfig::default()
             };
-            let (r, secs) = timed(|| kway_partition(&g, 32, &cfg));
+            let trace = Trace::enabled();
+            let (r, secs) = timed(|| kway_partition_traced(&g, 32, &cfg, &trace));
+            let span = |path| trace.span_total(path).unwrap_or_default().as_secs_f64();
+            let (ctime, itime, rtime, ptime) = (
+                span(SPAN_COARSEN),
+                span(SPAN_INIT),
+                span(SPAN_REFINE),
+                span(SPAN_PROJECT),
+            );
             print!(
                 "{:>12} {:>7.2} {:>7.2}",
                 group_thousands(r.edge_cut),
-                r.times.coarsen.as_secs_f64(),
-                r.times.uncoarsen().as_secs_f64()
+                ctime,
+                itime + rtime + ptime
             );
             sink.row(|o| {
                 o.field_str("bench", "table2");
@@ -46,10 +55,10 @@ fn main() {
                 o.field_usize("k", 32);
                 o.field_i64("edge_cut", r.edge_cut);
                 o.field_f64("secs", secs);
-                o.field_f64("ctime_secs", r.times.coarsen.as_secs_f64());
-                o.field_f64("itime_secs", r.times.init.as_secs_f64());
-                o.field_f64("rtime_secs", r.times.refine.as_secs_f64());
-                o.field_f64("ptime_secs", r.times.project.as_secs_f64());
+                o.field_f64("ctime_secs", ctime);
+                o.field_f64("itime_secs", itime);
+                o.field_f64("rtime_secs", rtime);
+                o.field_f64("ptime_secs", ptime);
             });
         }
         println!();

@@ -252,7 +252,8 @@ pub fn run_quality_figure(
     baseline_name: &str,
     baseline: &dyn Fn(&CsrGraph, usize, u64) -> Vec<u32>,
 ) {
-    use mlgp_part::{edge_cut_kway, kway_partition, MlConfig};
+    use mlgp_part::{edge_cut_kway, kway_partition_traced, MlConfig};
+    use mlgp_trace::{Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
     opts.banner(&format!(
         "edge-cut of our multilevel algorithm relative to {baseline_name} (bars under the | baseline mean we win)"
     ));
@@ -268,7 +269,10 @@ pub fn run_quality_figure(
     for key in rows {
         let (_, g) = opts.graph(key);
         for &k in &parts {
-            let (r, ours_secs) = timed(|| kway_partition(&g, k, &MlConfig::default()));
+            let trace = Trace::enabled();
+            let (r, ours_secs) =
+                timed(|| kway_partition_traced(&g, k, &MlConfig::default(), &trace));
+            let span = |path| trace.span_total(path).unwrap_or_default().as_secs_f64();
             let ours = r.edge_cut;
             let (base_part, base_secs) = timed(|| baseline(&g, k, 0xf15));
             let base = edge_cut_kway(&g, &base_part);
@@ -300,8 +304,11 @@ pub fn run_quality_figure(
                 o.field_f64("ratio", ratio);
                 o.field_f64("secs", ours_secs);
                 o.field_f64("baseline_secs", base_secs);
-                o.field_f64("ctime_secs", r.times.coarsen.as_secs_f64());
-                o.field_f64("utime_secs", r.times.uncoarsen().as_secs_f64());
+                o.field_f64("ctime_secs", span(SPAN_COARSEN));
+                o.field_f64(
+                    "utime_secs",
+                    span(SPAN_INIT) + span(SPAN_REFINE) + span(SPAN_PROJECT),
+                );
             });
         }
     }

@@ -69,3 +69,26 @@ fn malformed_options_exit_nonzero_without_panicking() {
         );
     }
 }
+
+#[test]
+fn table2_rows_carry_trace_phase_times() {
+    let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+        .args(["--scale", "0.05", "--keys", "4ELT", "--json"])
+        .output()
+        .expect("spawn table2");
+    assert!(out.status.success());
+    let stdout = String::from_utf8(out.stdout).unwrap();
+    let rows = parse_rows(&stdout);
+    assert_eq!(rows.len(), 4, "one row per matching scheme: {stdout}");
+    let secs = |row: &mlgp_trace::json::Value, field: &str| {
+        row.get(field)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("row lacks {field}: {stdout}"))
+    };
+    for row in &rows {
+        assert_eq!(row.get("bench").and_then(|v| v.as_str()), Some("table2"));
+        assert!(secs(row, "ctime_secs") > 0.0, "{stdout}");
+        let utime = secs(row, "itime_secs") + secs(row, "rtime_secs") + secs(row, "ptime_secs");
+        assert!(utime > 0.0, "{stdout}");
+    }
+}

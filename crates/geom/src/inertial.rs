@@ -4,6 +4,7 @@
 //! on skewed geometries because the cut plane follows the data rather than
 //! the coordinate frame.
 
+use crate::rcb::{median_split, sort_by_f64_key};
 use mlgp_graph::generators::Point;
 use mlgp_graph::{Vid, Wgt};
 
@@ -13,43 +14,15 @@ pub fn inertial_partition(points: &[Point], vwgt: &[Wgt], k: usize) -> Vec<u32> 
     assert!(k >= 1);
     let mut labels = vec![0u32; points.len()];
     let mut ids: Vec<Vid> = (0..points.len() as Vid).collect();
-    rec(points, vwgt, &mut ids, k, 0, &mut labels);
-    labels
-}
-
-fn rec(points: &[Point], vwgt: &[Wgt], ids: &mut [Vid], k: usize, base: u32, labels: &mut [u32]) {
-    if k <= 1 || ids.is_empty() {
-        for &v in ids.iter() {
-            labels[v as usize] = base;
-        }
-        return;
-    }
-    let k0 = k.div_ceil(2);
-    let axis = principal_axis(points, ids);
-    // Project and split at the weighted k0/k point.
-    let project = |v: Vid| {
-        let p = points[v as usize];
-        p[0] * axis[0] + p[1] * axis[1] + p[2] * axis[2]
-    };
-    ids.sort_by(|&a, &b| {
-        project(a)
-            .partial_cmp(&project(b))
-            .unwrap_or(std::cmp::Ordering::Equal)
+    median_split(vwgt, &mut ids, k, 0, &mut labels, &|ids: &mut [Vid]| {
+        // Project onto the principal axis and split at the weighted median.
+        let axis = principal_axis(points, ids);
+        sort_by_f64_key(ids, |v| {
+            let p = points[v as usize];
+            p[0] * axis[0] + p[1] * axis[1] + p[2] * axis[2]
+        });
     });
-    let total: Wgt = ids.iter().map(|&v| vwgt[v as usize]).sum();
-    let target0 = (total as i128 * k0 as i128 / k as i128) as Wgt;
-    let mut acc = 0;
-    let mut split = ids.len();
-    for (i, &v) in ids.iter().enumerate() {
-        if acc >= target0 {
-            split = i;
-            break;
-        }
-        acc += vwgt[v as usize];
-    }
-    let (left, right) = ids.split_at_mut(split);
-    rec(points, vwgt, left, k0, base, labels);
-    rec(points, vwgt, right, k - k0, base + k0 as u32, labels);
+    labels
 }
 
 /// Principal axis (dominant eigenvector of the 3x3 covariance) of the

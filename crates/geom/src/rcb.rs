@@ -15,11 +15,27 @@ pub fn rcb_partition(points: &[Point], vwgt: &[Wgt], k: usize) -> Vec<u32> {
     assert!(k >= 1);
     let mut labels = vec![0u32; points.len()];
     let mut ids: Vec<Vid> = (0..points.len() as Vid).collect();
-    rec(points, vwgt, &mut ids, k, 0, &mut labels);
+    median_split(vwgt, &mut ids, k, 0, &mut labels, &|ids: &mut [Vid]| {
+        let axis = widest_axis(points, ids);
+        sort_by_f64_key(ids, |v| points[v as usize][axis]);
+    });
     labels
 }
 
-fn rec(points: &[Point], vwgt: &[Wgt], ids: &mut [Vid], k: usize, base: u32, labels: &mut [u32]) {
+/// The recursion RCB and inertial bisection share: `sort` orders the
+/// current point set along its cut direction, the set is split where the
+/// running weight first reaches `⌈k/2⌉/k` of its total, and each half
+/// recurses with its share of the `k` labels starting at `base`.
+pub(crate) fn median_split<S>(
+    vwgt: &[Wgt],
+    ids: &mut [Vid],
+    k: usize,
+    base: u32,
+    labels: &mut [u32],
+    sort: &S,
+) where
+    S: Fn(&mut [Vid]),
+{
     if k <= 1 || ids.is_empty() {
         for &v in ids.iter() {
             labels[v as usize] = base;
@@ -27,14 +43,7 @@ fn rec(points: &[Point], vwgt: &[Wgt], ids: &mut [Vid], k: usize, base: u32, lab
         return;
     }
     let k0 = k.div_ceil(2);
-    // Widest axis of the current point set.
-    let axis = widest_axis(points, ids);
-    // Sort along the axis; split at the weight point k0/k of the total.
-    ids.sort_by(|&a, &b| {
-        points[a as usize][axis]
-            .partial_cmp(&points[b as usize][axis])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
+    sort(ids);
     let total: Wgt = ids.iter().map(|&v| vwgt[v as usize]).sum();
     let target0 = (total as i128 * k0 as i128 / k as i128) as Wgt;
     let mut acc = 0;
@@ -47,8 +56,17 @@ fn rec(points: &[Point], vwgt: &[Wgt], ids: &mut [Vid], k: usize, base: u32, lab
         acc += vwgt[v as usize];
     }
     let (left, right) = ids.split_at_mut(split);
-    rec(points, vwgt, left, k0, base, labels);
-    rec(points, vwgt, right, k - k0, base + k0 as u32, labels);
+    median_split(vwgt, left, k0, base, labels, sort);
+    median_split(vwgt, right, k - k0, base + k0 as u32, labels, sort);
+}
+
+/// Sort `ids` by an `f64` key, treating incomparable keys as equal.
+pub(crate) fn sort_by_f64_key(ids: &mut [Vid], key: impl Fn(Vid) -> f64) {
+    ids.sort_by(|&a, &b| {
+        key(a)
+            .partial_cmp(&key(b))
+            .unwrap_or(std::cmp::Ordering::Equal)
+    });
 }
 
 /// Index (0/1/2) of the axis with the largest extent over `ids`.

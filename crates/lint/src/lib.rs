@@ -577,7 +577,7 @@ pub fn scan_source(source: &str, class: &FileClass, file: &Path) -> Vec<Diagnost
                         Rule::D3WallClock,
                         format!(
                             "`{tok}` outside crates/trace|bench: wall clock and ambient entropy \
-                             break reproducibility (route timing through mlgp_trace::Stopwatch)"
+                             break reproducibility (route timing through Trace::start/Trace::stop)"
                         ),
                     );
                 }

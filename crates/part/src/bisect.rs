@@ -1,5 +1,5 @@
 //! The multilevel bisection driver (§3): coarsen, partition the coarsest
-//! graph, uncoarsen with refinement. Phase timings are recorded in the
+//! graph, uncoarsen with refinement. Phase timings are trace spans in the
 //! paper's vocabulary (CTime; UTime = ITime + RTime + PTime).
 
 use crate::coarsen::{coarsen_traced, Hierarchy};
@@ -9,44 +9,7 @@ use crate::refine::fm::BalanceTargets;
 use crate::refine::{refine_level_stats, BisectState};
 use mlgp_graph::rng::seeded;
 use mlgp_graph::{CsrGraph, Wgt};
-use mlgp_trace::{Event, Stopwatch, Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
-use std::time::Duration;
-
-/// Wall-clock time spent in each phase of a multilevel run (accumulated
-/// across all bisections for recursive k-way).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PhaseTimes {
-    /// Coarsening (matching + contraction) — the paper's CTime.
-    pub coarsen: Duration,
-    /// Partitioning the coarsest graph — ITime.
-    pub init: Duration,
-    /// Refinement during uncoarsening — RTime.
-    pub refine: Duration,
-    /// Projecting partitions and rebuilding per-level state — PTime.
-    pub project: Duration,
-}
-
-impl PhaseTimes {
-    /// UTime = ITime + RTime + PTime (paper §4.1).
-    pub fn uncoarsen(&self) -> Duration {
-        self.init + self.refine + self.project
-    }
-
-    /// Total across all phases.
-    pub fn total(&self) -> Duration {
-        self.coarsen + self.uncoarsen()
-    }
-
-    /// Component-wise sum.
-    pub fn merge(&self, other: &PhaseTimes) -> PhaseTimes {
-        PhaseTimes {
-            coarsen: self.coarsen + other.coarsen,
-            init: self.init + other.init,
-            refine: self.refine + other.refine,
-            project: self.project + other.project,
-        }
-    }
-}
+use mlgp_trace::{Event, Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
 
 /// Output of a multilevel bisection.
 #[derive(Clone, Debug)]
@@ -59,8 +22,6 @@ pub struct BisectionResult {
     pub pwgts: [Wgt; 2],
     /// Number of levels in the hierarchy (1 = no coarsening happened).
     pub levels: usize,
-    /// Phase timings.
-    pub times: PhaseTimes,
 }
 
 /// Bisect into two halves of (near-)equal vertex weight.
@@ -68,9 +29,9 @@ pub fn bisect(g: &CsrGraph, cfg: &MlConfig) -> BisectionResult {
     bisect_traced(g, cfg, &Trace::disabled())
 }
 
-/// [`bisect`] with telemetry: phase spans (same measured durations as the
-/// returned [`PhaseTimes`]), one `coarsen_level` event per hierarchy level
-/// and one `refine_level` event per uncoarsening level.
+/// [`bisect`] with telemetry: phase spans (the paper's CTime and
+/// UTime = ITime + RTime + PTime), one `coarsen_level` event per hierarchy
+/// level and one `refine_level` event per uncoarsening level.
 pub fn bisect_traced(g: &CsrGraph, cfg: &MlConfig, trace: &Trace) -> BisectionResult {
     let total = g.total_vwgt();
     let half = total / 2;
@@ -182,24 +143,20 @@ pub(crate) fn bisect_targets_branch(
             cut: 0,
             pwgts: [0, 0],
             levels: 0,
-            times: PhaseTimes::default(),
         };
     }
     let mut rng = seeded(cfg.seed);
     let bt = BalanceTargets::new(target, cfg.imbalance);
-    let mut times = PhaseTimes::default();
 
-    // Coarsening phase. The span durations fed to the trace are the very
-    // same measurements stored in `PhaseTimes`, so the `--stats` tree and
-    // the returned CTime/UTime split agree exactly.
-    let t = Stopwatch::start();
+    // Coarsening phase. The trace is the one record of phase times; a
+    // disabled trace takes no timestamps at all.
+    let t = trace.start();
     let h = coarsen_traced(g, cfg, &mut rng, trace);
-    times.coarsen = t.elapsed();
-    trace.add_time(SPAN_COARSEN, times.coarsen);
+    trace.stop(t, SPAN_COARSEN);
     record_coarsen_levels(&h, cfg, trace, branch);
 
     // Initial partitioning of the coarsest graph.
-    let t = Stopwatch::start();
+    let t = trace.start();
     let coarse_part = initial_partition_traced(
         h.coarsest(),
         &bt,
@@ -209,30 +166,23 @@ pub(crate) fn bisect_targets_branch(
         cfg.threads,
         trace,
     );
-    times.init = t.elapsed();
-    trace.add_time(SPAN_INIT, times.init);
+    trace.stop(t, SPAN_INIT);
 
     // Refine the coarsest-level partition, then uncoarsen level by level.
-    let t = Stopwatch::start();
+    let t = trace.start();
     let mut state = BisectState::with_threads(h.coarsest(), coarse_part, cfg.threads);
     refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, h.levels() - 1);
-    let d = t.elapsed();
-    times.refine += d;
-    trace.add_time(SPAN_REFINE, d);
+    trace.stop(t, SPAN_REFINE);
     let mut part = std::mem::take(&mut state.part);
     drop(state);
     for level in (0..h.levels() - 1).rev() {
-        let t = Stopwatch::start();
+        let t = trace.start();
         let fine_part = h.project(level, &part);
         let mut state = BisectState::with_threads(&h.graphs[level], fine_part, cfg.threads);
-        let d = t.elapsed();
-        times.project += d;
-        trace.add_time(SPAN_PROJECT, d);
-        let t = Stopwatch::start();
+        trace.stop(t, SPAN_PROJECT);
+        let t = trace.start();
         refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, level);
-        let d = t.elapsed();
-        times.refine += d;
-        trace.add_time(SPAN_REFINE, d);
+        trace.stop(t, SPAN_REFINE);
         part = std::mem::take(&mut state.part);
     }
     let final_state = BisectState::with_threads(g, part, cfg.threads);
@@ -241,7 +191,6 @@ pub(crate) fn bisect_targets_branch(
         pwgts: final_state.pwgts,
         part: final_state.part,
         levels: h.levels(),
-        times,
     }
 }
 
@@ -346,31 +295,6 @@ mod tests {
         let bt = BalanceTargets::even(g.total_vwgt(), 1.03);
         assert!(bt.balanced(r.pwgts));
         assert_eq!(r.cut, edge_cut_bisection(&g, &r.part));
-    }
-
-    #[test]
-    fn times_are_recorded() {
-        let g = grid2d(40, 40);
-        let r = bisect(&g, &MlConfig::default());
-        assert!(r.times.coarsen > Duration::ZERO);
-        assert!(r.times.uncoarsen() > Duration::ZERO);
-        assert_eq!(
-            r.times.total(),
-            r.times.coarsen + r.times.init + r.times.refine + r.times.project
-        );
-    }
-
-    #[test]
-    fn trace_spans_match_phase_times_exactly() {
-        // The spans are fed the very same `Duration`s stored in
-        // `PhaseTimes`, so the CTime/UTime split must agree to the nanosecond.
-        let g = grid2d(40, 40);
-        let trace = Trace::enabled();
-        let r = bisect_traced(&g, &MlConfig::default(), &trace);
-        assert_eq!(trace.span_total(SPAN_COARSEN), Some(r.times.coarsen));
-        assert_eq!(trace.span_total(SPAN_INIT), Some(r.times.init));
-        assert_eq!(trace.span_total(SPAN_REFINE), Some(r.times.refine));
-        assert_eq!(trace.span_total(SPAN_PROJECT), Some(r.times.project));
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! composed. Non-power-of-two `k` is handled by splitting weight targets
 //! proportionally (`⌈k/2⌉ : ⌊k/2⌋`).
 
-use crate::bisect::{bisect_targets_branch, BisectionResult, PhaseTimes};
+use crate::bisect::bisect_targets_branch;
 use crate::config::MlConfig;
 use crate::metrics::edge_cut_kway;
 use mlgp_graph::{split_by_part, CsrGraph, Wgt};
@@ -21,8 +21,6 @@ pub struct KwayResult {
     pub edge_cut: Wgt,
     /// Number of parts requested.
     pub nparts: usize,
-    /// Phase times accumulated over every bisection in the recursion tree.
-    pub times: PhaseTimes,
 }
 
 /// Subproblems smaller than this are recursed sequentially; larger ones
@@ -40,78 +38,25 @@ pub fn kway_partition(g: &CsrGraph, k: usize, cfg: &MlConfig) -> KwayResult {
 /// separable. The trace handle crosses the rayon forks.
 pub fn kway_partition_traced(g: &CsrGraph, k: usize, cfg: &MlConfig, trace: &Trace) -> KwayResult {
     assert!(k >= 1, "k must be at least 1");
-    let mut part = vec![0u32; g.n()];
-    let times = rec(g, k, cfg, 1, &mut part, trace);
+    let part = recursive_kway_with(g, k, &|sub, targets, salt| {
+        bisect_targets_branch(sub, &cfg.reseed(salt), targets, trace, salt).part
+    });
     let edge_cut = edge_cut_kway(g, &part);
     KwayResult {
         part,
         edge_cut,
         nparts: k,
-        times,
     }
 }
 
-/// Recursive worker: writes labels `0..k` into `part` (parallel to `g`'s
-/// vertices). `salt` identifies the recursion path for deterministic
-/// re-seeding.
-fn rec(
-    g: &CsrGraph,
-    k: usize,
-    cfg: &MlConfig,
-    salt: u64,
-    part: &mut [u32],
-    trace: &Trace,
-) -> PhaseTimes {
-    if k <= 1 || g.n() == 0 {
-        for p in part.iter_mut() {
-            *p = 0;
-        }
-        return PhaseTimes::default();
-    }
-    let k0 = k.div_ceil(2);
-    let k1 = k - k0;
-    let total = g.total_vwgt();
-    // Proportional target: side 0 receives k0/k of the weight.
-    let t0 = ((total as i128 * k0 as i128) / k as i128) as Wgt;
-    let r: BisectionResult =
-        bisect_targets_branch(g, &cfg.reseed(salt), [t0, total - t0], trace, salt);
-    if k == 2 {
-        for (p, &side) in part.iter_mut().zip(&r.part) {
-            *p = side as u32;
-        }
-        return r.times;
-    }
-    let bpart: Vec<u32> = r.part.iter().map(|&s| s as u32).collect();
-    let subs = split_by_part(g, &bpart, 2);
-    let (s0, s1) = (&subs[0], &subs[1]);
-    let mut part0 = vec![0u32; s0.graph.n()];
-    let mut part1 = vec![0u32; s1.graph.n()];
-    let (times0, times1) = if g.n() >= PARALLEL_THRESHOLD {
-        rayon::join(
-            || rec(&s0.graph, k0, cfg, salt * 2, &mut part0, trace),
-            || rec(&s1.graph, k1, cfg, salt * 2 + 1, &mut part1, trace),
-        )
-    } else {
-        (
-            rec(&s0.graph, k0, cfg, salt * 2, &mut part0, trace),
-            rec(&s1.graph, k1, cfg, salt * 2 + 1, &mut part1, trace),
-        )
-    };
-    for (i, &orig) in s0.orig.iter().enumerate() {
-        part[orig as usize] = part0[i];
-    }
-    for (i, &orig) in s1.orig.iter().enumerate() {
-        part[orig as usize] = k0 as u32 + part1[i];
-    }
-    r.times.merge(&times0).merge(&times1)
-}
-
-/// Recursive k-way driver over an arbitrary bisector — used to lift the
-/// spectral baselines (MSB, MSB-KL, Chaco-ML) to k-way exactly the way the
-/// paper does (recursive bisection).
+/// Recursive k-way driver over an arbitrary bisector — the one recursion
+/// behind multilevel k-way and the spectral baselines (MSB, MSB-KL,
+/// Chaco-ML), which the paper lifts to k-way the same way.
 ///
 /// The bisector receives the subgraph, the `[side0, side1]` weight targets
-/// and a deterministic salt, and returns 0/1 labels.
+/// (side 0 gets `⌈k/2⌉/k` of the weight) and a deterministic salt that
+/// identifies the recursion path (1 at the root, `2s`/`2s+1` below `s`), and
+/// returns 0/1 labels.
 pub fn recursive_kway_with<F>(g: &CsrGraph, k: usize, bisector: &F) -> Vec<u32>
 where
     F: Fn(&CsrGraph, [Wgt; 2], u64) -> Vec<u8> + Sync,
@@ -169,6 +114,7 @@ mod tests {
     use super::*;
     use crate::metrics::{imbalance, part_weights};
     use mlgp_graph::generators::{grid2d, tet_mesh3d, tri_mesh2d};
+    use mlgp_trace::{SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
 
     #[test]
     fn four_way_grid() {
@@ -228,9 +174,13 @@ mod tests {
     }
 
     #[test]
-    fn times_accumulate_over_recursion() {
+    fn traced_kway_records_every_phase_span() {
         let g = grid2d(40, 40);
-        let r = kway_partition(&g, 8, &MlConfig::default());
-        assert!(r.times.coarsen > std::time::Duration::ZERO);
+        let trace = Trace::enabled();
+        kway_partition_traced(&g, 8, &MlConfig::default(), &trace);
+        for span in [SPAN_COARSEN, SPAN_INIT, SPAN_REFINE, SPAN_PROJECT] {
+            let d = trace.span_total(span).unwrap_or_default();
+            assert!(d > std::time::Duration::ZERO, "{span}: {d:?}");
+        }
     }
 }

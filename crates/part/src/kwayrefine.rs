@@ -33,7 +33,6 @@
 //! always fits its (snapshot-legal) budget, so every round with proposals
 //! commits at least one move.
 
-use crate::bisect::PhaseTimes;
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
 use crate::matching::{resolve_shards, shard_bounds};
@@ -396,34 +395,17 @@ pub fn kway_partition_refined_traced(
         threads: cfg.threads,
         ..KwayRefineOptions::default()
     };
-    let t = mlgp_trace::Stopwatch::start();
+    let t = trace.start();
     r.edge_cut = kway_refine_greedy_traced(g, &mut r.part, k, &opts, trace);
-    let d = t.elapsed();
-    trace.add_time(SPAN_REFINE, d);
-    r.times = r.times.merge(&PhaseTimes {
-        refine: d,
-        ..PhaseTimes::default()
-    });
+    trace.stop(t, SPAN_REFINE);
     r
-}
-
-/// Number of boundary vertices of a k-way partition (convenience used by
-/// the sweep's tests and benches).
-pub fn kway_boundary(g: &CsrGraph, part: &[u32]) -> usize {
-    (0..g.n() as Vid)
-        .filter(|&v| {
-            g.neighbors(v)
-                .iter()
-                .any(|&u| part[u as usize] != part[v as usize])
-        })
-        .count()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::kway::kway_partition;
-    use crate::metrics::imbalance;
+    use crate::metrics::{boundary_count, imbalance};
     use mlgp_graph::generators::{grid2d, tet_mesh3d, tri_mesh2d};
 
     #[test]
@@ -525,7 +507,7 @@ mod tests {
             kway_refine_greedy(&g, &mut part, 1, &KwayRefineOptions::default()),
             0
         );
-        let _ = kway_boundary(&g, &part);
+        assert_eq!(boundary_count(&g, &part), 0);
     }
 
     #[test]

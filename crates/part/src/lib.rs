@@ -32,9 +32,7 @@ pub mod metrics;
 pub mod refine;
 pub mod report;
 
-pub use bisect::{
-    bisect, bisect_targets, bisect_targets_traced, bisect_traced, BisectionResult, PhaseTimes,
-};
+pub use bisect::{bisect, bisect_targets, bisect_targets_traced, bisect_traced, BisectionResult};
 pub use coarsen::{coarsen, coarsen_traced, Hierarchy};
 pub use config::{InitialPartitioning, MatchingScheme, MlConfig, RefinementPolicy};
 pub use contract::{contract, contract_threads, ContractStats, Contraction};

@@ -158,7 +158,8 @@ const MEMO_K: usize = 4;
 
 /// Below this vertex count the auto-threaded kernel stays on one shard
 /// (the cost of handing shards to pool workers would dominate). Explicit thread requests are honored
-/// exactly, whatever the size — the result is identical either way.
+/// exactly, whatever the size — the result is identical either way. The
+/// contraction, refinement-state and metrics reductions use the same floor.
 pub(crate) const MIN_PARALLEL_N: usize = 8192;
 
 /// Hard bound on handshake rounds before the sequential sweep takes over.

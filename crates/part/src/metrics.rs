@@ -8,12 +8,9 @@
 //! versions; parallelism is an internal detail governed by the ambient
 //! rayon thread cap (`ThreadPool::install`).
 
+use crate::matching::MIN_PARALLEL_N;
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rayon::prelude::*;
-
-/// Below this vertex count the metrics stay sequential — the graphs at the
-/// coarse end of a hierarchy are far too small to amortize a fork.
-const MIN_PARALLEL_N: usize = 8192;
 
 /// Edge-cut of a 2-way partition given as 0/1 labels.
 pub fn edge_cut_bisection(g: &CsrGraph, part: &[u8]) -> Wgt {

@@ -41,31 +41,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The workspace's sole doorway to the wall clock.
-///
-/// The determinism contract (DESIGN.md §10–§11, lint rule `D3`) bans
-/// `Instant`/`SystemTime` from algorithm crates: timing must be
-/// observability-only, never an input to a partitioning decision. Kernel
-/// code that wants phase timings measures them through this type, keeping
-/// every wall-clock read inside `crates/trace` where the static-analysis
-/// gate can see that it only flows into telemetry.
-#[derive(Debug, Clone, Copy)]
-pub struct Stopwatch(Instant);
-
-impl Stopwatch {
-    /// Start timing now.
-    #[inline]
-    pub fn start() -> Self {
-        Stopwatch(Instant::now())
-    }
-
-    /// Wall-clock time elapsed since [`Stopwatch::start`].
-    #[inline]
-    pub fn elapsed(&self) -> Duration {
-        self.0.elapsed()
-    }
-}
-
 /// Span path for the coarsening phase — the paper's **CTime**.
 pub const SPAN_COARSEN: &str = "coarsen";
 /// Span path for coarsest-graph partitioning — the paper's **ITime**.
@@ -344,6 +319,11 @@ impl Trace {
 
     /// Start a timer; returns a token that is `None` when disabled (so no
     /// `Instant::now()` is taken). Stop with [`Trace::stop`].
+    ///
+    /// This pair is the workspace's one doorway to the wall clock: lint rule
+    /// `D3` bans `Instant` from the algorithm crates, so phase timings stay
+    /// inside `crates/trace` and flow only into telemetry, never into a
+    /// partitioning decision.
     #[inline]
     pub fn start(&self) -> Timer {
         Timer(self.sink.as_ref().map(|_| Instant::now()))
@@ -622,7 +602,8 @@ mod tests {
 
     #[test]
     fn span_nesting_reconstructs_utime_identity() {
-        // UTime = ITime + RTime + PTime (paper §4.1, PhaseTimes::uncoarsen).
+        // UTime = ITime + RTime + PTime (paper §4.1), the sum of the children
+        // of the never-recorded `SPAN_UNCOARSEN`.
         let t = Trace::enabled();
         let (i, r, p) = (
             Duration::from_millis(120),

@@ -5,6 +5,7 @@
 //! ```
 
 use mlgp::prelude::*;
+use mlgp::trace::{SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
 
 fn main() {
     // A 3D tetrahedral-like FEM mesh (~13.8k vertices), the kind of graph
@@ -19,16 +20,18 @@ fn main() {
 
     // --- k-way partitioning (assign mesh nodes to 16 processors) ---------
     let k = 16;
-    let result = kway_partition(&g, k, &MlConfig::default());
+    let trace = Trace::enabled();
+    let result = mlgp::part::kway_partition_traced(&g, k, &MlConfig::default(), &trace);
     println!(
         "\n{k}-way partition: edge-cut = {}, imbalance = {:.3}",
         result.edge_cut,
         imbalance(&g, &result.part, k)
     );
+    let ms = |path| trace.span_total(path).unwrap_or_default().as_secs_f64() * 1e3;
     println!(
         "phase times: coarsen {:.0} ms, uncoarsen {:.0} ms",
-        result.times.coarsen.as_secs_f64() * 1e3,
-        result.times.uncoarsen().as_secs_f64() * 1e3
+        ms(SPAN_COARSEN),
+        ms(SPAN_INIT) + ms(SPAN_REFINE) + ms(SPAN_PROJECT)
     );
 
     // --- fill-reducing ordering (sparse Cholesky) -------------------------

@@ -4,6 +4,7 @@
 //! ```text
 //! mlgp partition <graph> <k> [--report] [--report-json] [--stats] [--trace FILE]
 //!                            [--method ml|msb|msb-kl|chaco] [--seed N] [--out FILE]
+//!                            [--threads N]
 //! mlgp order     <graph>     [--method mlnd|mmd|snd] [--stats] [--trace FILE] [--out FILE]
 //! mlgp gen       <key> <out> [--scale F]   # write a suite graph (.mtx → MatrixMarket)
 //! mlgp info      <graph>
@@ -72,19 +73,31 @@ bit-identical for every N.
 type ParsedArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
 /// Parse `--flag value` style options out of an argument list; returns the
-/// positional arguments.
-fn split_opts(args: &[String]) -> Result<ParsedArgs<'_>, String> {
+/// positional arguments. Options named in `values` must be followed by a
+/// value. Those named in `flags` take an optional one (a bare flag reads as
+/// `true`). Any other option is an error.
+fn split_opts<'a>(
+    args: &'a [String],
+    values: &[&str],
+    flags: &[&str],
+) -> Result<ParsedArgs<'a>, String> {
     let mut pos = Vec::new();
     let mut opts = Vec::new();
     let mut i = 0;
     while i < args.len() {
         let a = args[i].as_str();
         if let Some(name) = a.strip_prefix("--") {
-            // A flag followed by another flag (or by nothing) is boolean.
+            if !values.contains(&name) && !flags.contains(&name) {
+                return Err(format!("unknown option `{a}`\n{USAGE}"));
+            }
+            // The next argument is the value unless it is another option.
             match args.get(i + 1).map(String::as_str) {
                 Some(v) if !v.starts_with("--") => {
                     opts.push((name, v));
                     i += 2;
+                }
+                _ if values.contains(&name) => {
+                    return Err(format!("option `{a}` needs a value"));
                 }
                 _ => {
                     opts.push((name, "true"));
@@ -155,7 +168,11 @@ fn emit_trace(trace: &Trace, opts: &[(&str, &str)]) -> Result<(), String> {
 }
 
 fn cmd_partition(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = split_opts(args)?;
+    let (pos, opts) = split_opts(
+        args,
+        &["method", "seed", "out", "threads"],
+        &["report", "report-json", "stats", "trace"],
+    )?;
     let [spec, k] = pos.as_slice() else {
         return Err(format!("partition needs <graph> <k>\n{USAGE}"));
     };
@@ -253,7 +270,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_order(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = split_opts(args)?;
+    let (pos, opts) = split_opts(args, &["method", "out"], &["stats", "trace"])?;
     let [spec] = pos.as_slice() else {
         return Err(format!("order needs <graph>\n{USAGE}"));
     };
@@ -289,7 +306,7 @@ fn cmd_order(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = split_opts(args)?;
+    let (pos, opts) = split_opts(args, &["scale"], &[])?;
     let [key, out] = pos.as_slice() else {
         return Err(format!("gen needs <key> <out>\n{USAGE}"));
     };
@@ -310,7 +327,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let (pos, _) = split_opts(args)?;
+    let (pos, _) = split_opts(args, &[], &[])?;
     let [spec] = pos.as_slice() else {
         return Err(format!("info needs <graph>\n{USAGE}"));
     };

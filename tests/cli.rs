@@ -190,6 +190,94 @@ fn unknown_commands_fail_cleanly() {
     assert!(!out.status.success());
 }
 
+/// Run `mlgp` in `dir` and assert it fails with exit status 1 and an
+/// `error:` line naming `needle`.
+fn assert_rejected(dir: &std::path::Path, args: &[&str], needle: &str) {
+    let out = mlgp().current_dir(dir).args(args).output().unwrap();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.starts_with("error:"), "{args:?}: {stderr}");
+    assert!(stderr.contains(needle), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+#[test]
+fn unknown_options_are_rejected_per_subcommand() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-unknown-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [&[&str]; 5] = [
+        &["partition", "gen:LS34@0.2", "2", "--thraeds", "2"],
+        &["order", "gen:LS34@0.2", "--threads", "2"],
+        &["order", "gen:LS34@0.2", "--seed", "3"],
+        &["gen", "BSP10", "x.graph", "--report"],
+        &["info", "gen:LS34@0.2", "--stats"],
+    ];
+    for args in cases {
+        let bad = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert_rejected(&dir, args, &format!("unknown option `{bad}`"));
+    }
+    assert!(
+        !dir.join("x.graph").exists(),
+        "gen ran despite a bad option"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn value_options_without_a_value_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-novalue-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let cases: [&[&str]; 8] = [
+        &["partition", "gen:LS34@0.2", "2", "--out"],
+        &["partition", "gen:LS34@0.2", "2", "--out", "--stats"],
+        &["partition", "gen:LS34@0.2", "2", "--seed"],
+        &["partition", "gen:LS34@0.2", "2", "--method"],
+        &["partition", "gen:LS34@0.2", "2", "--threads"],
+        &["order", "gen:LS34@0.2", "--out"],
+        &["order", "gen:LS34@0.2", "--method"],
+        &["gen", "BSP10", "x.graph", "--scale"],
+    ];
+    for args in cases {
+        let bare = args.iter().find(|a| a.starts_with("--")).unwrap();
+        assert_rejected(&dir, args, &format!("option `{bare}` needs a value"));
+    }
+    // A bare `--out` used to write the labels to a file named `true`.
+    assert!(!dir.join("true").exists());
+    assert!(!dir.join("x.graph").exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn bare_trace_and_boolean_flags_still_work() {
+    for args in [
+        &[
+            "partition",
+            "gen:LS34@0.2",
+            "2",
+            "--trace",
+            "--stats",
+            "--report",
+        ][..],
+        &[
+            "partition",
+            "gen:LS34@0.2",
+            "2",
+            "--report",
+            "true",
+            "--report-json",
+            "false",
+        ],
+        &["order", "gen:LS34@0.2", "--trace", "--stats"],
+    ] {
+        let out = mlgp().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+}
+
 #[test]
 fn help_prints_usage() {
     let out = mlgp().args(["--help"]).output().unwrap();
