@@ -119,6 +119,31 @@ proptest! {
     }
 
     #[test]
+    fn split_equals_per_part_induced_subgraphs(
+        (n, edges, part) in edge_list(50).prop_flat_map(|(n, edges)| {
+            (Just(n), Just(edges), prop::collection::vec(0u32..5, n))
+        }),
+    ) {
+        let mut b = GraphBuilder::new(n);
+        for &(u, v, w) in &edges {
+            b.add_weighted_edge(u, v, w);
+        }
+        b.set_vertex_weights((1..=n as i64).collect());
+        let g = b.build();
+        // Labels may leave parts empty; one part past the largest label
+        // must come out empty too.
+        let nparts = *part.iter().max().unwrap() as usize + 2;
+        let subs = split_by_part(&g, &part, nparts);
+        prop_assert_eq!(subs.len(), nparts);
+        for (p, s) in subs.iter().enumerate() {
+            let select: Vec<bool> = part.iter().map(|&x| x as usize == p).collect();
+            let want = induced_subgraph(&g, &select);
+            prop_assert_eq!(&s.graph, &want.graph);
+            prop_assert_eq!(&s.orig, &want.orig);
+        }
+    }
+
+    #[test]
     fn connect_components_always_connects((n, edges) in edge_list(50)) {
         let mut b = GraphBuilder::new(n);
         for &(u, v, w) in &edges {

@@ -173,7 +173,7 @@ pub(crate) fn bisect_targets_branch(
     let mut state = BisectState::with_threads(h.coarsest(), coarse_part, cfg.threads);
     refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, h.levels() - 1);
     trace.stop(t, SPAN_REFINE);
-    let mut part = std::mem::take(&mut state.part);
+    let (mut part, mut cut, mut pwgts) = (std::mem::take(&mut state.part), state.cut, state.pwgts);
     drop(state);
     for level in (0..h.levels() - 1).rev() {
         let t = trace.start();
@@ -183,13 +183,14 @@ pub(crate) fn bisect_targets_branch(
         let t = trace.start();
         refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, level);
         trace.stop(t, SPAN_REFINE);
-        part = std::mem::take(&mut state.part);
+        (part, cut, pwgts) = (std::mem::take(&mut state.part), state.cut, state.pwgts);
     }
-    let final_state = BisectState::with_threads(g, part, cfg.threads);
+    // The last state refined is level 0's, the input graph itself, so its
+    // cut and part weights are the result's.
     BisectionResult {
-        cut: final_state.cut,
-        pwgts: final_state.pwgts,
-        part: final_state.part,
+        part,
+        cut,
+        pwgts,
         levels: h.levels(),
     }
 }

@@ -22,6 +22,16 @@
 //! state — and rows are emitted sorted, so the output is bit-identical for
 //! every shard count. `contract(...)` (auto threads) and
 //! [`contract_threads`] with any explicit `threads` agree exactly.
+//!
+//! # One shard: direct build and transpose
+//!
+//! With one shard there is nothing to merge, so the kernel writes rows
+//! straight into CSR arrays in first-seen neighbor order and then sorts
+//! every row at once with one counting-sort transpose: row `c`'s entry
+//! `(u, w)` is scattered to row `u` as `(c, w)`, rows taken in ascending
+//! `c`. The coarse graph is symmetric, so its transpose is the same graph,
+//! now with every row ascending — the sharded kernel's exact output, with
+//! no per-row sort and no copy out of shard buffers.
 
 use crate::matching::{resolve_shards, shard_bounds};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
@@ -99,6 +109,9 @@ pub fn contract_threads(
     }
 
     let nshards = resolve_shards(ncoarse, threads);
+    if nshards == 1 {
+        return contract_serial(g, cmap, cewgt, &ccount, &members);
+    }
     // Pass 1: every shard builds its rows privately.
     let mut shards: Vec<ShardRows> = shard_bounds(ncoarse, nshards)
         .into_iter()
@@ -237,12 +250,93 @@ pub fn contract_threads(
     )
 }
 
+/// The one-shard kernel: rows are built in first-seen order straight into
+/// CSR arrays, then one counting-sort transpose sorts them all. The coarse
+/// graph is symmetric, so its transpose is the same graph, and scattering
+/// rows in ascending order leaves every transposed row ascending: the
+/// sharded kernel's canonical form, without a per-row sort or a copy out
+/// of shard buffers.
+fn contract_serial(
+    g: &CsrGraph,
+    cmap: &[Vid],
+    cewgt: &[Wgt],
+    ccount: &[u32],
+    members: &[Vid],
+) -> (Contraction, ContractStats) {
+    let ncoarse = ccount.len() - 1;
+    let mut xadj = Vec::with_capacity(ncoarse + 1);
+    xadj.push(0u32);
+    let mut adjncy: Vec<Vid> = Vec::new();
+    let mut adjwgt: Vec<Wgt> = Vec::new();
+    let mut cvwgt = vec![0 as Wgt; ncoarse];
+    let mut ccewgt = vec![0 as Wgt; ncoarse];
+    // Position of coarse neighbor `u` in `adjncy` while its row is being
+    // built, or u32::MAX. Reset after each row.
+    let mut pos = vec![u32::MAX; ncoarse];
+    let mut entries = 0u64;
+    for c in 0..ncoarse {
+        let start = adjncy.len();
+        let mut internal = 0 as Wgt;
+        for &v in &members[ccount[c] as usize..ccount[c + 1] as usize] {
+            cvwgt[c] += g.vwgt()[v as usize];
+            ccewgt[c] += cewgt[v as usize];
+            entries += g.degree(v) as u64;
+            for (u, w) in g.adj(v) {
+                let cu = cmap[u as usize];
+                if cu as usize == c {
+                    internal += w; // counted from both endpoints => 2w total
+                    continue;
+                }
+                let p = pos[cu as usize];
+                if p == u32::MAX {
+                    pos[cu as usize] = adjncy.len() as u32;
+                    adjncy.push(cu);
+                    adjwgt.push(w);
+                } else {
+                    adjwgt[p as usize] += w;
+                }
+            }
+        }
+        debug_assert_eq!(internal % 2, 0);
+        ccewgt[c] += internal / 2;
+        for &u in &adjncy[start..] {
+            pos[u as usize] = u32::MAX;
+        }
+        xadj.push(adjncy.len() as u32);
+    }
+    // Transpose: row `c`'s entry `(u, w)` lands in row `u` as `(c, w)`.
+    // Row lengths carry over unchanged, since the graph is symmetric.
+    let mut cursor = xadj[..ncoarse].to_vec();
+    let mut sorted_adjncy = vec![0 as Vid; adjncy.len()];
+    let mut sorted_adjwgt = vec![0 as Wgt; adjwgt.len()];
+    for c in 0..ncoarse {
+        let row = xadj[c] as usize..xadj[c + 1] as usize;
+        for (&u, &w) in adjncy[row.clone()].iter().zip(&adjwgt[row]) {
+            let slot = &mut cursor[u as usize];
+            sorted_adjncy[*slot as usize] = c as Vid;
+            sorted_adjwgt[*slot as usize] = w;
+            *slot += 1;
+        }
+    }
+    debug_assert!(cursor.iter().zip(&xadj[1..]).all(|(a, b)| a == b));
+    (
+        Contraction {
+            graph: CsrGraph::from_parts_unchecked(xadj, sorted_adjncy, cvwgt, sorted_adjwgt),
+            cewgt: ccewgt,
+        },
+        ContractStats {
+            shards: 1,
+            entries: vec![entries],
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::config::MatchingScheme;
     use crate::matching::compute_matching;
-    use mlgp_graph::generators::{grid2d, tri_mesh2d};
+    use mlgp_graph::generators::{grid2d, powerlaw, tri_mesh2d};
     use mlgp_graph::rng::seeded;
     use mlgp_graph::GraphBuilder;
 
@@ -342,6 +436,39 @@ mod tests {
         // The parallel kernel scanned every fine adjacency entry exactly once.
         let (_, st) = contract_threads(&g, &cmap, nc, &cewgt, 4);
         assert_eq!(st.entries.iter().sum::<u64>(), g.nnz() as u64);
+    }
+
+    #[test]
+    fn one_shard_direct_build_matches_three_shards() {
+        // Hub rows fold many fine edges into few coarse neighbors, so
+        // first-seen order is far from sorted; two levels give nonzero
+        // `cewgt` and weighted edges and vertices.
+        let mut g = powerlaw(3000, 3, 21);
+        assert!(g.max_degree() > 100, "expected hub rows");
+        let mut cewgt = vec![0; g.n()];
+        for level in 0..3 {
+            let m = compute_matching(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(level));
+            let (cmap, nc) = m.to_cmap();
+            let (one, s1) = contract_threads(&g, &cmap, nc, &cewgt, 1);
+            let (three, s3) = contract_threads(&g, &cmap, nc, &cewgt, 3);
+            assert_eq!((s1.shards, s3.shards), (1, 3));
+            assert_eq!(one.graph, three.graph, "level {level}");
+            assert_eq!(one.cewgt, three.cewgt, "level {level}");
+            assert_eq!(s1.entries, vec![g.nnz() as u64]);
+            assert_eq!(s3.entries.iter().sum::<u64>(), g.nnz() as u64);
+            assert!(one.graph.validate().is_ok());
+            g = one.graph;
+            cewgt = one.cewgt;
+        }
+        assert!(cewgt.iter().any(|&w| w > 0));
+        assert!(g.adjwgt().iter().any(|&w| w > 1));
+        // Any map works, not only a matching's: scattered five-way merges.
+        let nc = g.n() / 5;
+        let cmap: Vec<Vid> = (0..g.n() as Vid).map(|v| v % nc as Vid).collect();
+        let (one, _) = contract_threads(&g, &cmap, nc, &cewgt, 1);
+        let (three, _) = contract_threads(&g, &cmap, nc, &cewgt, 3);
+        assert_eq!(one.graph, three.graph);
+        assert_eq!(one.cewgt, three.cewgt);
     }
 
     #[test]

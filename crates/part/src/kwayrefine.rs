@@ -28,14 +28,26 @@
 //!    simply re-propose next round against the updated snapshot.
 //!
 //! The result is a pure function of `(graph, partition, k, options.seed)`:
-//! any thread count produces the bit-identical refined partition. Each
-//! round is `O(n + m)`; the globally maximal proposer always wins and
-//! always fits its (snapshot-legal) budget, so every round with proposals
-//! commits at least one move.
+//! any thread count produces the bit-identical refined partition. The
+//! globally maximal proposer always wins and always fits its
+//! (snapshot-legal) budget, so every round with proposals commits at least
+//! one move.
+//!
+//! # Cost: boundary-only proposals
+//!
+//! Only a boundary vertex can have a legal move, so the kernel keeps, for
+//! every vertex, its number of neighbors in other parts, and the propose
+//! phase reads the adjacency of boundary vertices only; interior ones just
+//! clear their proposal slot. The counts are built once in `O(n + m)` and
+//! kept exact by the serial apply loop, which updates each moved vertex
+//! and its neighbors in `O(deg)`. A round then costs `O(n)` plus the
+//! adjacency of the boundary and of the proposers' neighbors (resolve),
+//! instead of `O(n + m)`; proposals, winners and moves are exactly those
+//! of a full scan, which a `#[cfg(test)]` oracle checks.
 
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
-use crate::matching::{resolve_shards, shard_bounds};
+use crate::matching::{resolve_shards, shard_bounds, MIN_PARALLEL_N};
 use crate::metrics::{edge_cut_kway, part_weights};
 use mlgp_graph::rng::{random_order, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
@@ -72,7 +84,7 @@ impl Default for KwayRefineOptions {
 }
 
 /// Telemetry from one run of the round-based k-way refinement kernel.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KwayRefineStats {
     /// Propose/commit rounds executed.
     pub rounds: usize,
@@ -174,13 +186,33 @@ pub fn kway_refine_stats(
     // Proposal slots, each written once per round by its owner shard.
     let prop_to: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NONE)).collect();
     let prop_gain: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(0)).collect();
+    // Neighbors of each vertex in another part: only boundary vertices
+    // (`external > 0`) can propose. The serial apply loop keeps it current.
+    let mut external = vec![0u32; n];
+    {
+        let part_ro: &[u32] = part;
+        external
+            .par_iter_mut()
+            .enumerate()
+            .with_min_len(MIN_PARALLEL_N)
+            .for_each(|(v, ext)| {
+                let home = part_ro[v];
+                *ext = g
+                    .neighbors(v as Vid)
+                    .iter()
+                    .filter(|&&u| part_ro[u as usize] != home)
+                    .count() as u32;
+            });
+    }
 
     for round in 0..opts.max_passes.max(1) {
         // Propose: best legal move per boundary vertex against the frozen
-        // (part, pwgts) snapshot.
+        // (part, pwgts) snapshot; interior vertices cannot improve the cut
+        // and skip their adjacency.
         {
             let part_ro: &[u32] = part;
             let pwgts_ro: &[Wgt] = &pwgts;
+            let external_ro: &[u32] = &external;
             shards
                 .par_iter_mut()
                 .enumerate()
@@ -188,44 +220,42 @@ pub fn kway_refine_stats(
                 .for_each(|(_, sh)| {
                     sh.proposals = 0;
                     for v in sh.lo..sh.hi {
+                        // RELAXED: proposal slots are single-writer — only
+                        // the shard owning `v` stores them this round — and
+                        // readers run in the resolve phase, after the rayon
+                        // fork/join barrier that publishes these stores.
+                        if external_ro[v] == 0 {
+                            prop_to[v].store(NONE, Ordering::Relaxed);
+                            continue;
+                        }
                         let home = part_ro[v] as usize;
                         sh.touched.clear();
-                        let mut is_boundary = false;
                         for (u, w) in g.adj(v as Vid) {
                             let pu = part_ro[u as usize] as usize;
                             if sh.conn[pu] == 0 {
                                 sh.touched.push(pu as u32);
                             }
                             sh.conn[pu] += w;
-                            if pu != home {
-                                is_boundary = true;
-                            }
                         }
                         let mut best: Option<(Wgt, Wgt, usize)> = None; // (gain, -pwgt, part)
-                        if is_boundary {
-                            let vw = g.vwgt()[v];
-                            let here = sh.conn[home];
-                            for &t in &sh.touched {
-                                let t = t as usize;
-                                if t == home || pwgts_ro[t] + vw > ub {
-                                    continue;
-                                }
-                                let gain = sh.conn[t] - here;
-                                let key = (gain, -pwgts_ro[t]);
-                                if (gain > 0 || (gain == 0 && pwgts_ro[t] + vw < pwgts_ro[home]))
-                                    && best.is_none_or(|(bg, bw, _)| key > (bg, bw))
-                                {
-                                    best = Some((gain, -pwgts_ro[t], t));
-                                }
+                        let vw = g.vwgt()[v];
+                        let here = sh.conn[home];
+                        for &t in &sh.touched {
+                            let t = t as usize;
+                            if t == home || pwgts_ro[t] + vw > ub {
+                                continue;
+                            }
+                            let gain = sh.conn[t] - here;
+                            let key = (gain, -pwgts_ro[t]);
+                            if (gain > 0 || (gain == 0 && pwgts_ro[t] + vw < pwgts_ro[home]))
+                                && best.is_none_or(|(bg, bw, _)| key > (bg, bw))
+                            {
+                                best = Some((gain, -pwgts_ro[t], t));
                             }
                         }
                         for &t in &sh.touched {
                             sh.conn[t as usize] = 0;
                         }
-                        // RELAXED: proposal slots are single-writer — only
-                        // the shard owning `v` stores them this round — and
-                        // readers run in the resolve phase, after the rayon
-                        // fork/join barrier that publishes these stores.
                         match best {
                             Some((gain, _, to)) => {
                                 prop_gain[v].store(gain, Ordering::Relaxed);
@@ -329,14 +359,28 @@ pub fn kway_refine_stats(
                     });
                 });
         }
-        // Apply the accepted moves (disjoint vertices; serial and cheap).
+        // Apply the accepted moves (disjoint vertices; serial and cheap),
+        // refreshing the boundary counts of each mover and its neighbors.
         let mut moves = 0usize;
         for (p, bucket) in buckets.iter().enumerate() {
+            let to = p as u32;
             for &(v, _) in bucket {
                 let vw = g.vwgt()[v as usize];
-                pwgts[part[v as usize] as usize] -= vw;
+                let from = part[v as usize];
+                pwgts[from as usize] -= vw;
                 pwgts[p] += vw;
-                part[v as usize] = p as u32;
+                part[v as usize] = to;
+                let mut ext = 0;
+                for &u in g.neighbors(v) {
+                    let pu = part[u as usize];
+                    if pu == from {
+                        external[u as usize] += 1;
+                    } else if pu == to {
+                        external[u as usize] -= 1;
+                    }
+                    ext += (pu != to) as u32;
+                }
+                external[v as usize] = ext;
                 moves += 1;
             }
         }
@@ -405,8 +449,157 @@ pub fn kway_partition_refined_traced(
 mod tests {
     use super::*;
     use crate::kway::kway_partition;
+    use crate::matching::tests::thread_counts;
     use crate::metrics::{boundary_count, imbalance};
-    use mlgp_graph::generators::{grid2d, tet_mesh3d, tri_mesh2d};
+    use mlgp_graph::generators::{grid2d, powerlaw, tet_mesh3d, tri_mesh2d};
+
+    /// The full-scan kernel the boundary counts replaced, run serially as
+    /// an oracle: every round rebuilds every vertex's part connectivity
+    /// from its whole adjacency, interior vertices included, and only then
+    /// asks whether the vertex is on the boundary.
+    fn reference_refine(
+        g: &CsrGraph,
+        part: &mut [u32],
+        k: usize,
+        opts: &KwayRefineOptions,
+    ) -> (Wgt, KwayRefineStats) {
+        let n = g.n();
+        let mut stats = KwayRefineStats::default();
+        let order = random_order(&mut seeded(opts.seed), n);
+        let mut rank = vec![0u32; n];
+        for (i, &v) in order.iter().enumerate() {
+            rank[v as usize] = i as u32;
+        }
+        let mut pwgts = part_weights(g, part, k);
+        let total: Wgt = pwgts.iter().sum();
+        let ub = (total as f64 / k as f64 * opts.imbalance).ceil() as Wgt;
+        for _ in 0..opts.max_passes.max(1) {
+            // Propose; destinations in first-adjacent order, so equal keys
+            // go to the part met first.
+            let mut prop: Vec<Option<(Wgt, usize)>> = vec![None; n];
+            for (v, slot) in prop.iter_mut().enumerate() {
+                let home = part[v] as usize;
+                let mut conn = vec![0 as Wgt; k];
+                let mut touched = Vec::new();
+                for (u, w) in g.adj(v as Vid) {
+                    let pu = part[u as usize] as usize;
+                    if !touched.contains(&pu) {
+                        touched.push(pu);
+                    }
+                    conn[pu] += w;
+                }
+                if touched.iter().all(|&t| t == home) {
+                    continue;
+                }
+                let vw = g.vwgt()[v];
+                let mut best: Option<(Wgt, Wgt, usize)> = None;
+                for &t in &touched {
+                    if t == home || pwgts[t] + vw > ub {
+                        continue;
+                    }
+                    let gain = conn[t] - conn[home];
+                    let legal = gain > 0 || (gain == 0 && pwgts[t] + vw < pwgts[home]);
+                    if legal && best.is_none_or(|(bg, bw, _)| (gain, -pwgts[t]) > (bg, bw)) {
+                        best = Some((gain, -pwgts[t], t));
+                    }
+                }
+                *slot = best.map(|(gain, _, t)| (gain, t));
+            }
+            let proposals = prop.iter().flatten().count();
+            if proposals == 0 {
+                break;
+            }
+            // Resolve.
+            let key = |v: usize| prop[v].map(|(gain, _)| (gain, rank[v]));
+            let winners: Vec<usize> = (0..n)
+                .filter(|&v| {
+                    key(v).is_some_and(|kv| {
+                        g.neighbors(v as Vid)
+                            .iter()
+                            .all(|&u| key(u as usize) <= Some(kv))
+                    })
+                })
+                .collect();
+            // Commit, best first per destination, then apply.
+            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); k];
+            for &v in &winners {
+                buckets[prop[v].unwrap().1].push(v);
+            }
+            let mut moves = 0;
+            for (p, bucket) in buckets.iter_mut().enumerate() {
+                bucket.sort_by_key(|&v| std::cmp::Reverse(key(v)));
+                let mut budget = ub - pwgts[p];
+                bucket.retain(|&v| {
+                    let fits = g.vwgt()[v] <= budget;
+                    if fits {
+                        budget -= g.vwgt()[v];
+                    }
+                    fits
+                });
+            }
+            for (p, bucket) in buckets.iter().enumerate() {
+                for &v in bucket {
+                    pwgts[part[v] as usize] -= g.vwgt()[v];
+                    pwgts[p] += g.vwgt()[v];
+                    part[v] = p as u32;
+                    moves += 1;
+                }
+            }
+            stats.rounds += 1;
+            stats.proposals += proposals;
+            stats.conflicts += proposals - winners.len();
+            stats.balance_rejects += winners.len() - moves;
+            stats.moves += moves;
+            if moves == 0 {
+                break;
+            }
+        }
+        (edge_cut_kway(g, part), stats)
+    }
+
+    #[test]
+    fn boundary_only_sweep_matches_full_scan_oracle() {
+        let graphs = [
+            ("tri_mesh2d", tri_mesh2d(40, 36, 5)),
+            ("powerlaw", powerlaw(1500, 3, 9)),
+        ];
+        let mut moved = 0;
+        for (name, g) in &graphs {
+            for k in [2, 7, 32] {
+                // A recursive-bisection partition with every 13th label
+                // scrambled, so the sweep has interior vertices turning
+                // into boundary ones and back.
+                let mut start = kway_partition(g, k, &MlConfig::default()).part;
+                for (v, p) in start.iter_mut().enumerate() {
+                    if v % 13 == 0 {
+                        *p = (v * 7 % k) as u32;
+                    }
+                }
+                let opts = KwayRefineOptions {
+                    imbalance: 1.05,
+                    ..KwayRefineOptions::default()
+                };
+                let mut want_part = start.clone();
+                let (want_cut, want) = reference_refine(g, &mut want_part, k, &opts);
+                moved += want.moves;
+                for threads in thread_counts() {
+                    let ctx = format!("{name} k={k} @ {threads} threads");
+                    let mut part = start.clone();
+                    let (cut, stats) = kway_refine_stats(
+                        g,
+                        &mut part,
+                        k,
+                        &KwayRefineOptions { threads, ..opts },
+                        &Trace::disabled(),
+                    );
+                    assert_eq!(part, want_part, "{ctx}");
+                    assert_eq!(cut, want_cut, "{ctx}");
+                    assert_eq!(stats, want, "{ctx}");
+                }
+            }
+        }
+        assert!(moved > 0, "the oracle cases made no moves");
+    }
 
     #[test]
     fn sweep_improves_or_preserves_cut() {
