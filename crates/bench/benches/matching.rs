@@ -7,27 +7,20 @@
 //!   many-round regime (≈ 30 rounds);
 //! * `matching_coarse_level1` — HEM on level 1 of that grid's `coarsen`
 //!   hierarchy, with the vertex and edge weights contraction produced;
-//! * `matching_hem_shards` — HEM on the grid at an explicit 1 vs 2 shards:
-//!   the chain-following path against the handshake rounds, which run
-//!   whenever there is more than one shard. Both produce the same
-//!   matching;
-//! * `contract_hem_shards` — contracting the grid by that matching at 1 vs
-//!   2 shards: the direct build sorted by one transpose against per-shard
-//!   sorted rows copied into place.
+//! * `contract_hem_shards` — contracting the grid by its HEM matching at 1
+//!   vs 2 shards: the direct build sorted by one transpose against
+//!   per-shard sorted rows copied into place.
 //!
-//! All these graphs have fewer than 8192 vertices, so the first three
-//! groups run on one shard: they time the chain-following path, which finds
-//! the handshake's matching and round count without running the rounds. The
-//! candidate memo serves both paths; it saves most in the many-round
-//! regime, where the handshake would otherwise rescan ≈ 13× nnz.
+//! The matching kernel is serial: it follows best-candidate chains, which
+//! finds the handshake's matching and round count without running the
+//! rounds. Its candidate memo saves most in the many-round regime, where
+//! rescanning every unmatched vertex each round would read ≈ 13× nnz.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlgp_graph::generators::{stiffness3d, tet_mesh3d};
 use mlgp_graph::rng::seeded;
 use mlgp_graph::CsrGraph;
-use mlgp_part::{
-    coarsen, compute_matching, compute_matching_threads, contract_threads, MatchingScheme, MlConfig,
-};
+use mlgp_part::{coarsen, compute_matching, contract_threads, MatchingScheme, MlConfig};
 use std::hint::black_box;
 
 fn bench_schemes(c: &mut Criterion, group: &str, g: &CsrGraph, schemes: &[MatchingScheme]) {
@@ -58,28 +51,12 @@ fn bench_matching(c: &mut Criterion) {
         &hierarchy.graphs[1],
         &[MatchingScheme::HeavyEdge],
     );
-    bench_shards(c, &grid);
+    bench_contract_shards(c, &grid);
 }
 
-/// HEM matching and contraction of `g` at an explicit 1 and 2 shards.
-fn bench_shards(c: &mut Criterion, g: &CsrGraph) {
+/// Contraction of `g` by its HEM matching at an explicit 1 and 2 shards.
+fn bench_contract_shards(c: &mut Criterion, g: &CsrGraph) {
     let cewgt = vec![0; g.n()];
-    let mut group = c.benchmark_group("matching_hem_shards");
-    for shards in [1, 2] {
-        group.bench_function(format!("{shards}_shard"), |b| {
-            b.iter(|| {
-                let mut rng = seeded(3);
-                black_box(compute_matching_threads(
-                    g,
-                    MatchingScheme::HeavyEdge,
-                    &cewgt,
-                    &mut rng,
-                    shards,
-                ))
-            })
-        });
-    }
-    group.finish();
     let m = compute_matching(g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(3));
     let (cmap, nc) = m.to_cmap();
     let mut group = c.benchmark_group("contract_hem_shards");

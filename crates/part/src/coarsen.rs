@@ -3,7 +3,8 @@
 
 use crate::config::MlConfig;
 use crate::contract::contract_threads;
-use crate::matching::{compute_matching_threads, MIN_PARALLEL_N};
+use crate::matching::compute_matching_threads;
+use crate::shards::MIN_PARALLEL_N;
 use mlgp_graph::{CsrGraph, Vid};
 use mlgp_trace::Trace;
 use rand::Rng;

@@ -25,15 +25,22 @@
 //!
 //! # One shard: direct build and transpose
 //!
-//! With one shard there is nothing to merge, so the kernel writes rows
-//! straight into CSR arrays in first-seen neighbor order and then sorts
-//! every row at once with one counting-sort transpose: row `c`'s entry
-//! `(u, w)` is scattered to row `u` as `(c, w)`, rows taken in ascending
-//! `c`. The coarse graph is symmetric, so its transpose is the same graph,
-//! now with every row ascending — the sharded kernel's exact output, with
-//! no per-row sort and no copy out of shard buffers.
+//! With one shard there is nothing to merge, so the kernel appends rows
+//! to the CSR arrays in first-seen neighbor order and then sorts every
+//! row at once with one counting-sort transpose: row `c`'s entry `(u, w)`
+//! is scattered to row `u` as `(c, w)`, rows taken in ascending `c`. The
+//! coarse graph is symmetric, so its transpose is the same graph, now with
+//! every row ascending — the sharded kernel's exact output, with no
+//! per-row sort and no copy out of shard buffers. Both kernels fold rows
+//! with the same `fold_row`.
+//!
+//! The sharded kernel stays for more than one shard. On a 2-vCPU x86-64
+//! host, running the one-shard kernel at every shard count made the
+//! two-thread `nd-order` benchmark about 5 % faster at p50 but raised its
+//! peak RSS by about 13 %, while the matching kernel's equivalent change
+//! (see `matching.rs`) cost no memory.
 
-use crate::matching::{resolve_shards, shard_bounds};
+use crate::shards::{resolve_shards, shard_bounds};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rayon::prelude::*;
 
@@ -108,9 +115,11 @@ pub fn contract_threads(
         }
     }
 
+    let members_of = |c: usize| &members[ccount[c] as usize..ccount[c + 1] as usize];
+
     let nshards = resolve_shards(ncoarse, threads);
     if nshards == 1 {
-        return contract_serial(g, cmap, cewgt, &ccount, &members);
+        return contract_serial(g, cmap, ncoarse, cewgt, members_of);
     }
     // Pass 1: every shard builds its rows privately.
     let mut shards: Vec<ShardRows> = shard_bounds(ncoarse, nshards)
@@ -131,44 +140,22 @@ pub fn contract_threads(
         .enumerate()
         .with_min_len(1)
         .for_each(|(_, sh)| {
-            // Scratch: position of coarse neighbor `u` in the row being built,
-            // or u32::MAX. Reset incrementally after each row.
             let mut pos = vec![u32::MAX; ncoarse];
             let mut row: Vec<(Vid, Wgt)> = Vec::new();
             for c in sh.lo..sh.hi {
-                row.clear();
-                let mut internal = 0 as Wgt;
-                for &v in &members[ccount[c] as usize..ccount[c + 1] as usize] {
-                    sh.cvwgt[c - sh.lo] += g.vwgt()[v as usize];
-                    sh.ccewgt[c - sh.lo] += cewgt[v as usize];
-                    sh.entries += g.degree(v) as u64;
-                    for (u, w) in g.adj(v) {
-                        let cu = cmap[u as usize];
-                        if cu as usize == c {
-                            internal += w; // counted from both endpoints => 2w total
-                            continue;
-                        }
-                        let p = pos[cu as usize];
-                        if p == u32::MAX {
-                            pos[cu as usize] = row.len() as u32;
-                            row.push((cu, w));
-                        } else {
-                            row[p as usize].1 += w;
-                        }
-                    }
-                }
-                // Each internal edge was seen from both endpoints.
-                debug_assert_eq!(internal % 2, 0);
-                sh.ccewgt[c - sh.lo] += internal / 2;
-                for &(u, _) in row.iter() {
-                    pos[u as usize] = u32::MAX;
-                }
+                let (vw, cw) = fold_row(g, cmap, cewgt, members_of(c), c, &mut pos, &mut row);
+                sh.cvwgt[c - sh.lo] = vw;
+                sh.ccewgt[c - sh.lo] = cw;
                 // Canonical (sorted) row order — shard-count independent.
                 row.sort_unstable_by_key(|&(u, _)| u);
                 sh.adjncy.extend(row.iter().map(|&(u, _)| u));
                 sh.adjwgt.extend(row.iter().map(|&(_, w)| w));
                 sh.xadj.push(sh.adjncy.len() as u32);
             }
+            sh.entries = members[ccount[sh.lo] as usize..ccount[sh.hi] as usize]
+                .iter()
+                .map(|&v| g.degree(v) as u64)
+                .sum();
         });
 
     // Pass 2: prefix-sum shard lengths, then copy every shard's rows into
@@ -250,58 +237,31 @@ pub fn contract_threads(
     )
 }
 
-/// The one-shard kernel: rows are built in first-seen order straight into
-/// CSR arrays, then one counting-sort transpose sorts them all. The coarse
+/// The one-shard kernel: rows are appended to the CSR arrays in
+/// first-seen order, then one counting-sort transpose sorts them all. The coarse
 /// graph is symmetric, so its transpose is the same graph, and scattering
 /// rows in ascending order leaves every transposed row ascending: the
 /// sharded kernel's canonical form, without a per-row sort or a copy out
 /// of shard buffers.
-fn contract_serial(
+fn contract_serial<'a>(
     g: &CsrGraph,
     cmap: &[Vid],
+    ncoarse: usize,
     cewgt: &[Wgt],
-    ccount: &[u32],
-    members: &[Vid],
+    members_of: impl Fn(usize) -> &'a [Vid],
 ) -> (Contraction, ContractStats) {
-    let ncoarse = ccount.len() - 1;
     let mut xadj = Vec::with_capacity(ncoarse + 1);
     xadj.push(0u32);
     let mut adjncy: Vec<Vid> = Vec::new();
     let mut adjwgt: Vec<Wgt> = Vec::new();
     let mut cvwgt = vec![0 as Wgt; ncoarse];
     let mut ccewgt = vec![0 as Wgt; ncoarse];
-    // Position of coarse neighbor `u` in `adjncy` while its row is being
-    // built, or u32::MAX. Reset after each row.
     let mut pos = vec![u32::MAX; ncoarse];
-    let mut entries = 0u64;
+    let mut row: Vec<(Vid, Wgt)> = Vec::new();
     for c in 0..ncoarse {
-        let start = adjncy.len();
-        let mut internal = 0 as Wgt;
-        for &v in &members[ccount[c] as usize..ccount[c + 1] as usize] {
-            cvwgt[c] += g.vwgt()[v as usize];
-            ccewgt[c] += cewgt[v as usize];
-            entries += g.degree(v) as u64;
-            for (u, w) in g.adj(v) {
-                let cu = cmap[u as usize];
-                if cu as usize == c {
-                    internal += w; // counted from both endpoints => 2w total
-                    continue;
-                }
-                let p = pos[cu as usize];
-                if p == u32::MAX {
-                    pos[cu as usize] = adjncy.len() as u32;
-                    adjncy.push(cu);
-                    adjwgt.push(w);
-                } else {
-                    adjwgt[p as usize] += w;
-                }
-            }
-        }
-        debug_assert_eq!(internal % 2, 0);
-        ccewgt[c] += internal / 2;
-        for &u in &adjncy[start..] {
-            pos[u as usize] = u32::MAX;
-        }
+        (cvwgt[c], ccewgt[c]) = fold_row(g, cmap, cewgt, members_of(c), c, &mut pos, &mut row);
+        adjncy.extend(row.iter().map(|&(u, _)| u));
+        adjwgt.extend(row.iter().map(|&(_, w)| w));
         xadj.push(adjncy.len() as u32);
     }
     // Transpose: row `c`'s entry `(u, w)` lands in row `u` as `(c, w)`.
@@ -326,9 +286,52 @@ fn contract_serial(
         },
         ContractStats {
             shards: 1,
-            entries: vec![entries],
+            entries: vec![g.nnz() as u64],
         },
     )
+}
+
+/// Fold coarse vertex `c`'s row from its constituents `members` into
+/// `row`: edges to other coarse vertices in first-seen order, parallel
+/// edges summed. Returns `c`'s vertex weight and contracted-edge weight.
+/// `pos` maps a coarse neighbor to its index in `row`; it must be all
+/// `u32::MAX` on entry and is again on return.
+#[inline]
+fn fold_row(
+    g: &CsrGraph,
+    cmap: &[Vid],
+    cewgt: &[Wgt],
+    members: &[Vid],
+    c: usize,
+    pos: &mut [u32],
+    row: &mut Vec<(Vid, Wgt)>,
+) -> (Wgt, Wgt) {
+    row.clear();
+    let (mut vwgt, mut cw, mut internal) = (0 as Wgt, 0 as Wgt, 0 as Wgt);
+    for &v in members {
+        vwgt += g.vwgt()[v as usize];
+        cw += cewgt[v as usize];
+        for (u, w) in g.adj(v) {
+            let cu = cmap[u as usize];
+            if cu as usize == c {
+                internal += w; // counted from both endpoints => 2w total
+                continue;
+            }
+            let p = pos[cu as usize];
+            if p == u32::MAX {
+                pos[cu as usize] = row.len() as u32;
+                row.push((cu, w));
+            } else {
+                row[p as usize].1 += w;
+            }
+        }
+    }
+    for &(u, _) in row.iter() {
+        pos[u as usize] = u32::MAX;
+    }
+    // Each internal edge was seen from both endpoints.
+    debug_assert_eq!(internal % 2, 0);
+    (vwgt, cw + internal / 2)
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! # Round-based parallel kernel (determinism contract)
 //!
 //! The sweep runs as synchronized *propose/commit rounds* over vertex-range
-//! shards, mirroring the matching handshake of `matching.rs`:
+//! shards, the structure of the local-max matching handshake that defines
+//! `matching.rs`'s matching:
 //!
 //! 1. **Propose** — every boundary vertex computes, in parallel, its best
 //!    legal move against a *frozen* snapshot of the partition and part
@@ -47,8 +48,8 @@
 
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
-use crate::matching::{resolve_shards, shard_bounds, MIN_PARALLEL_N};
 use crate::metrics::{edge_cut_kway, part_weights};
+use crate::shards::{resolve_shards, shard_bounds, MIN_PARALLEL_N};
 use mlgp_graph::rng::{random_order, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use mlgp_trace::{Event, Trace, SPAN_REFINE};

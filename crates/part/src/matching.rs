@@ -1,5 +1,5 @@
 //! Maximal matchings for coarsening (§3.1 of the paper), computed by a
-//! **deterministic parallel kernel**.
+//! **deterministic serial kernel**.
 //!
 //! All four schemes pick, for each vertex, the unmatched neighbor that
 //! maximizes a scheme-specific edge score:
@@ -13,80 +13,61 @@
 //!   `(cewgt(u) + cewgt(v) + w(u,v)) / (s(s−1)/2)` with
 //!   `s = vwgt(u) + vwgt(v)`, approximating the clique-finding coarseners.
 //!
-//! # The claim protocol (determinism contract)
+//! # The matching (determinism contract)
 //!
-//! The kernel runs *handshake rounds* over vertex-range shards:
+//! Edges compare by the total order `(score, rmin, rmax)`, where
+//! `rmin`/`rmax` are the smaller/larger of the two endpoints' ranks in a
+//! seeded random permutation. The key is *symmetric* (both endpoints
+//! compute the same key for the same edge) and *strict* (ranks are
+//! distinct). The matching is the one that *local-max handshake rounds*
+//! produce: each round, every unmatched vertex proposes to its best
+//! unmatched neighbor and mutual proposals match. Under a strict key that
+//! is exactly the greedy matching (take edges in descending key order
+//! while both ends are free): a mutual pair is the best edge left at both
+//! its ends, so greedy takes it too, whatever else is matched around it.
 //!
-//! 1. **Propose** — every unmatched vertex computes, in parallel, its best
-//!    unmatched neighbor under the total order `(score, rmin, rmax)`, where
-//!    `rmin`/`rmax` are the smaller/larger of the two endpoints' ranks in a
-//!    seeded random permutation. The key is *symmetric* (both endpoints
-//!    compute the same key for the same edge) and *strict* (ranks are
-//!    distinct), so the relation "u is v's best" admits no score cycles.
-//! 2. **Claim** — mutual proposals (`proposal[v] == u && proposal[u] == v`)
-//!    commit the pair: the lower-id endpoint claims both match slots with
-//!    compare-and-swap. Every slot is claimed at most once per round (the
-//!    mutual partner is unique), so each CAS succeeds exactly once and the
-//!    resulting `partner` array is independent of thread scheduling.
+//! The handshake's round count is part of the definition. A round bound
+//! guards pathological inputs (monotone weight chains match one pair a
+//! round); pairs the handshake would match after the bound are left to a
+//! sequential rank-order sweep that finishes the matching. The result is a
+//! pure function of `(graph, scheme, seed)`; the `threads` argument of
+//! [`compute_matching_threads`] changes nothing.
 //!
-//! Because the globally maximal available edge is always mutual, every
-//! round matches at least one pair; the loop ends when no unmatched vertex
-//! has an unmatched neighbor, i.e. the matching is **maximal**. A bounded
-//! round count guards pathological inputs (monotone weight chains); past
-//! the bound a sequential rank-order sweep — itself thread-independent —
-//! finishes the matching. The result is therefore a pure function of
-//! `(graph, scheme, seed)`: same seed + any thread count → same matching.
+//! # Chain following
 //!
-//! # One shard: chain following
+//! The kernel finds the handshake's matching without running its rounds.
+//! It follows `v → best(v)` on a stack until two vertices are each other's
+//! best, matches them and backs up one step. To keep the round count, and
+//! the fallback, exact, it records each pair's handshake round
+//! `R(u, v) = 1 + max R` over the pairs of the neighbors `u` or `v`
+//! prefers to each other — the handshake proposes `u → v` exactly once all
+//! of those are matched. If the largest `R` reaches the bound, the pairs
+//! with `R` past it are undone and the sweep runs.
 //!
-//! Under a strict key, local-max handshake matching yields exactly the
-//! greedy matching (take edges in descending key order while both ends
-//! are free): a mutual pair is the best edge left at both its ends, so
-//! the greedy order would take it too, whatever else is matched around
-//! it. With one shard the kernel therefore skips the rounds and finds that
-//! matching serially: it follows `v → best(v)` on a stack until two
-//! vertices are each other's best, matches them and backs up one step.
-//! To keep the round count, and the fallback, exact, it records each
-//! pair's handshake round `R(u, v) = 1 + max R` over the pairs of the
-//! neighbors `u` or `v` prefers to each other — the handshake proposes
-//! `u → v` exactly once all of those are matched. If the largest `R`
-//! reaches the bound, the pairs with `R` past it are undone and the same
-//! sequential sweep runs. Shard count alone picks the path, and the two
-//! agree on the partner array, the pair count, `rounds` and `fallback`.
+//! The kernel is serial at every thread count because sharding the
+//! handshake rounds (propose/claim with compare-and-swap partner slots)
+//! does not pay: on a 2-vCPU x86-64 host they were only about 10 % faster
+//! on two threads than the chain walk on a 202k-vertex mesh, and the chain
+//! walk cut the two-thread `nd-order` benchmark's p50 latency by about a
+//! fifth (DESIGN §10).
 //!
 //! # Cost: the candidate memo
 //!
-//! The handshake needs many rounds: on unit-weight 27-point grids (the 3D
-//! stiffness class) it runs 30–34 rounds of its 34–38-round bound, and the
-//! active set shrinks by only a few percent a round. Rescanning every
-//! active vertex's adjacency each round would read ≈ 13× nnz entries per
-//! call. Instead each shard keeps, for every vertex it owns, a memo of
-//! the `MEMO_K` = 4 best unmatched neighbors found by that vertex's last full
-//! scan, in key order. Within one call every edge key is fixed and the set
-//! of unmatched vertices only shrinks, so the first memo entry that is
-//! still unmatched *is* the vertex's current best: a neighbor left out of
-//! the memo ranked below every entry, or was already matched. A vertex
-//! rescans its adjacency only when every remembered candidate has been
-//! matched, and retires without a rescan when its last scan saw no
-//! unmatched neighbor beyond the memo. On the grids above this holds scan
-//! work to ≈ 3× nnz per call; the proposals, and so the round count and
-//! the matching, are exactly those of a full rescan.
-//!
-//! The chain path uses the same memo and reads about 1× nnz in rescans,
-//! plus one pass over each matched pair's two adjacency lists to find its
-//! round; it does no per-round work at all. Timed serially on a 2-vCPU
-//! x86-64 host, it takes about a third of the one-shard handshake's time
-//! on an 8000-vertex grid of the kind above, and 55–85 % of it on
-//! 15k-vertex graphs of the other request classes (2D mesh, power grid,
-//! power-law circuit, LP). `matching_hem_shards` in `crates/bench`
-//! compares the two paths.
+//! Each vertex keeps a memo of the `MEMO_K` = 4 best unmatched neighbors
+//! found by its last full scan, in key order. Within one call every edge
+//! key is fixed and the set of unmatched vertices only shrinks, so the
+//! first memo entry that is still unmatched *is* the vertex's current
+//! best: a neighbor left out of the memo ranked below every entry, or was
+//! already matched. A vertex rescans its adjacency only when every
+//! remembered candidate has been matched, and has no best without a
+//! rescan when its last scan saw no unmatched neighbor beyond the memo.
+//! The kernel reads about 1× nnz in rescans, plus one pass over each
+//! matched pair's two adjacency lists to find its round.
 
 use crate::config::MatchingScheme;
 use mlgp_graph::rng::random_order;
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rand::Rng;
-use rayon::prelude::*;
-use std::sync::atomic::{AtomicU32, Ordering};
 
 /// A matching: `partner[v] == v` iff `v` is unmatched.
 #[derive(Clone, Debug)]
@@ -97,19 +78,20 @@ pub struct Matching {
     pub pairs: usize,
 }
 
-/// Telemetry from one run of the parallel matching kernel.
+/// Telemetry from one run of the matching kernel.
 #[derive(Clone, Debug, Default)]
 pub struct MatchStats {
-    /// Handshake rounds executed (0 for the empty graph).
+    /// Handshake rounds the matching corresponds to (0 for the empty
+    /// graph), capped at the round bound.
     pub rounds: usize,
-    /// Vertex-range shards the kernel fanned out to.
+    /// Shards the kernel ran on: always 1, since the kernel is serial.
     pub shards: usize,
-    /// Whether the bounded-round sequential sweep had to finish the job.
+    /// Whether the round bound tripped and the sequential sweep finished
+    /// the matching.
     pub fallback: bool,
-    /// Adjacency entries read by full rescans, per shard (cumulative over
-    /// rounds). Proposals answered from a vertex's candidate memo read no
-    /// adjacency and are not counted, nor is the one-shard path's pass
-    /// that recovers each pair's round.
+    /// Adjacency entries read by full rescans, one entry per shard.
+    /// Candidates answered from a vertex's memo read no adjacency and are
+    /// not counted, nor is the pass that recovers each pair's round.
     pub edges_scanned: Vec<u64>,
 }
 
@@ -177,24 +159,18 @@ impl Matching {
     }
 }
 
-/// Sentinel for "no proposal" and for an empty memo slot.
+/// Sentinel for "no candidate" and for an empty memo slot.
 const NONE: u32 = u32::MAX;
 
-/// Candidates remembered per vertex between rounds.
+/// Candidates remembered per vertex.
 const MEMO_K: usize = 4;
-
-/// Below this vertex count the auto-threaded kernel stays on one shard
-/// (the cost of handing shards to pool workers would dominate). Explicit thread requests are honored
-/// exactly, whatever the size — the result is identical either way. The
-/// contraction, refinement-state and metrics reductions use the same floor.
-pub(crate) const MIN_PARALLEL_N: usize = 8192;
 
 /// Hard bound on handshake rounds before the sequential sweep takes over.
 fn max_rounds(n: usize) -> usize {
     2 * usize::BITS.saturating_sub(n.leading_zeros()) as usize + 8
 }
 
-/// Compute a maximal matching with the given scheme (auto thread count).
+/// Compute a maximal matching with the given scheme.
 ///
 /// `cewgt[v]` is the total weight of edges already contracted inside
 /// multinode `v` (zeros at the finest level); only HCM consults it.
@@ -207,54 +183,40 @@ pub fn compute_matching<R: Rng>(
     compute_matching_threads(g, scheme, cewgt, rng, 0).0
 }
 
-/// [`compute_matching`] with an explicit thread count (`0` = the rayon
-/// fan-out) and kernel telemetry. The matching is bit-identical for every
-/// `threads` value — parallelism only changes who computes it.
+/// [`compute_matching`] with kernel telemetry. The kernel is serial:
+/// `threads` is accepted for callers that pass one through and changes
+/// neither the matching nor the work.
 pub fn compute_matching_threads<R: Rng>(
     g: &CsrGraph,
     scheme: MatchingScheme,
     cewgt: &[Wgt],
     rng: &mut R,
-    threads: usize,
+    _threads: usize,
 ) -> (Matching, MatchStats) {
     let n = g.n();
     assert_eq!(cewgt.len(), n);
-    // Seeded inputs, drawn identically whatever the thread count: a rank
-    // permutation (tie-breaking) and a salt (RM's edge hashing).
+    // Seeded inputs: a rank permutation (tie-breaking) and a salt (RM's
+    // edge hashing).
     let order = random_order(rng, n);
     let salt = rng.next_u64();
     let mut rank = vec![0u32; n];
     for (i, &v) in order.iter().enumerate() {
         rank[v as usize] = i as u32;
     }
-    let nshards = resolve_shards(n, threads);
     let score = Scorer {
         scheme,
         salt,
         g,
         cewgt,
     };
-
-    let partner: Vec<AtomicU32> = (0..n as u32).map(AtomicU32::new).collect();
-    let bound = max_rounds(n);
-    let stats = if nshards == 1 {
-        chain_matching(g, &order, &partner, &rank, &score, bound)
-    } else {
-        handshake_matching(g, &order, &partner, &rank, &score, nshards, bound)
-    };
-
-    let partner: Vec<Vid> = partner.into_iter().map(AtomicU32::into_inner).collect();
-    let pairs = (0..n as Vid)
-        .filter(|&v| {
-            let p = partner[v as usize];
-            p != v && p > v
-        })
-        .count();
+    let mut partner: Vec<Vid> = (0..n as Vid).collect();
+    let stats = chain_matching(g, &order, &mut partner, &rank, &score);
+    let pairs = (0..n as Vid).filter(|&v| partner[v as usize] > v).count();
     (Matching { partner, pairs }, stats)
 }
 
-/// The one-shard kernel: the handshake's exact output, found serially by
-/// following best-candidate chains (module docs, "One shard").
+/// The kernel: the handshake's matching, found by following
+/// best-candidate chains (module docs, "Chain following").
 ///
 /// From each unmatched vertex it walks `v → best(v)` on a stack; keys rise
 /// strictly along the walk, so it ends at two vertices that are each
@@ -266,10 +228,9 @@ pub fn compute_matching_threads<R: Rng>(
 fn chain_matching(
     g: &CsrGraph,
     order: &[Vid],
-    partner: &[AtomicU32],
+    partner: &mut [Vid],
     rank: &[u32],
     score: &Scorer<'_>,
-    bound: usize,
 ) -> MatchStats {
     let n = g.n();
     let mut memo = vec![Memo::UNSCANNED; n];
@@ -278,11 +239,8 @@ fn chain_matching(
     let mut max_round = 0u32;
     let mut stack: Vec<Vid> = Vec::new();
     let mut scanned = 0u64;
-    // RELAXED: one thread owns every `partner` slot here; program order
-    // sequences all accesses, and the caller reads the slots afterwards on
-    // the same thread.
     for s in 0..n as Vid {
-        if partner[s as usize].load(Ordering::Relaxed) != s {
+        if partner[s as usize] != s {
             continue;
         }
         stack.push(s);
@@ -299,8 +257,8 @@ fn chain_matching(
                 round[v as usize] = r;
                 round[b as usize] = r;
                 max_round = max_round.max(r);
-                partner[v as usize].store(b, Ordering::Relaxed);
-                partner[b as usize].store(v, Ordering::Relaxed);
+                partner[v as usize] = b;
+                partner[b as usize] = v;
             } else {
                 stack.push(b);
             }
@@ -312,13 +270,13 @@ fn chain_matching(
         fallback: false,
         edges_scanned: vec![scanned],
     };
+    let bound = max_rounds(n);
     if stats.rounds >= bound {
         // The handshake stops after round `bound`: keep only the pairs it
         // had matched by then and let the sweep finish.
         for v in 0..n as Vid {
             if round[v as usize] as usize > bound {
-                // RELAXED: single-threaded, as above.
-                partner[v as usize].store(v, Ordering::Relaxed);
+                partner[v as usize] = v;
             }
         }
         sequential_sweep(g, order, partner, rank, score);
@@ -365,150 +323,6 @@ fn handshake_round(
     r + 1
 }
 
-/// The many-shard kernel: propose/claim handshake rounds over vertex-range
-/// shards (see the module docs), finished by the sequential sweep if the
-/// round bound trips.
-fn handshake_matching(
-    g: &CsrGraph,
-    order: &[Vid],
-    partner: &[AtomicU32],
-    rank: &[u32],
-    score: &Scorer<'_>,
-    nshards: usize,
-    bound: usize,
-) -> MatchStats {
-    let proposal: Vec<AtomicU32> = (0..g.n()).map(|_| AtomicU32::new(NONE)).collect();
-    let mut shards: Vec<Shard> = shard_bounds(g.n(), nshards)
-        .into_iter()
-        .map(|(lo, hi)| Shard::new(lo as Vid, hi as Vid))
-        .collect();
-
-    let mut stats = MatchStats {
-        rounds: 0,
-        shards: nshards,
-        fallback: false,
-        edges_scanned: Vec::new(),
-    };
-    loop {
-        // Propose: each shard refreshes proposals for its still-active
-        // vertices; vertices with no unmatched neighbor retire for good
-        // (matched neighbors never come back).
-        shards
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(_, sh)| sh.propose(g, partner, &proposal, rank, score));
-        let active_total: usize = shards.iter().map(|sh| sh.active.len()).sum();
-        if active_total == 0 {
-            break;
-        }
-        // Claim: commit mutual proposals. The lower-id endpoint claims both
-        // slots; each CAS targets a slot no other pair can claim, so the
-        // outcome is schedule-independent.
-        shards
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(_, sh)| {
-                // RELAXED: the proposals read here were published by the
-                // propose phase's fork/join barrier. Each CAS targets a
-                // slot that only the unique lower endpoint of a mutual
-                // pair ever claims (so it cannot be contended), and the
-                // claimed partners are next read after the round barrier.
-                let mut pairs = 0;
-                for &v in &sh.active {
-                    let u = proposal[v as usize].load(Ordering::Relaxed);
-                    if u == NONE || u <= v {
-                        continue;
-                    }
-                    if proposal[u as usize].load(Ordering::Relaxed) == v {
-                        let a = partner[v as usize].compare_exchange(
-                            v,
-                            u,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                        let b = partner[u as usize].compare_exchange(
-                            u,
-                            v,
-                            Ordering::Relaxed,
-                            Ordering::Relaxed,
-                        );
-                        debug_assert!(a.is_ok() && b.is_ok(), "claim slot contended");
-                        pairs += 1;
-                    }
-                }
-                sh.pairs = pairs;
-            });
-        stats.rounds += 1;
-        // Progress is guaranteed (the max-key available edge is mutual),
-        // but guard both a theory violation and pathological round counts
-        // with the deterministic sequential sweep.
-        let made_progress = shards.iter().any(|sh| sh.pairs > 0);
-        if stats.rounds >= bound || !made_progress {
-            sequential_sweep(g, order, partner, rank, score);
-            stats.fallback = true;
-            break;
-        }
-    }
-    stats.edges_scanned = shards.iter().map(|sh| sh.edges).collect();
-    stats
-}
-
-/// Per-shard kernel state: the vertices of one contiguous range that are
-/// still unmatched and still have unmatched neighbors, and the candidate
-/// memo of every vertex in the range. The phases count into locals and
-/// store once, since the shards' structs share cache lines.
-struct Shard {
-    lo: Vid,
-    active: Vec<Vid>,
-    /// Indexed by `v - lo`.
-    memo: Vec<Memo>,
-    /// Pairs claimed in the last claim phase.
-    pairs: u64,
-    edges: u64,
-}
-
-impl Shard {
-    fn new(lo: Vid, hi: Vid) -> Shard {
-        Shard {
-            lo,
-            active: (lo..hi).collect(),
-            memo: vec![Memo::UNSCANNED; (hi - lo) as usize],
-            pairs: 0,
-            edges: 0,
-        }
-    }
-
-    /// The propose phase for this shard: publish every active vertex's best
-    /// unmatched neighbor and retire the vertices that have none.
-    fn propose(
-        &mut self,
-        g: &CsrGraph,
-        partner: &[AtomicU32],
-        proposal: &[AtomicU32],
-        rank: &[u32],
-        score: &Scorer<'_>,
-    ) {
-        let (lo, memo) = (self.lo, &mut self.memo);
-        let mut scanned = 0;
-        // RELAXED: phase-local single-writer slots. During the propose
-        // phase `partner` is read-only and `proposal[v]` is written only by
-        // the shard that owns `v`; the happens-before edge between rounds
-        // is the rayon fork/join barrier, not the atomics themselves.
-        self.active.retain(|&v| {
-            let best = if partner[v as usize].load(Ordering::Relaxed) != v {
-                NONE
-            } else {
-                memo[(v - lo) as usize].best(g, v, partner, rank, score, &mut scanned)
-            };
-            proposal[v as usize].store(best, Ordering::Relaxed);
-            best != NONE
-        });
-        self.edges += scanned;
-    }
-}
-
 /// One vertex's best unmatched neighbors as of its last full scan, in
 /// descending key order, `NONE`-padded (20 bytes).
 #[derive(Clone, Copy)]
@@ -540,7 +354,7 @@ impl Memo {
         &mut self,
         g: &CsrGraph,
         v: Vid,
-        partner: &[AtomicU32],
+        partner: &[Vid],
         rank: &[u32],
         score: &Scorer<'_>,
         scanned: &mut u64,
@@ -550,9 +364,7 @@ impl Memo {
             if u == NONE {
                 break;
             }
-            // RELAXED: `partner` is frozen during the propose phase (see
-            // `Shard::propose`); the chain path runs on one thread.
-            if partner[u as usize].load(Ordering::Relaxed) == u {
+            if partner[u as usize] == u {
                 self.cursor = (self.cursor & MORE) | i as u8;
                 return u;
             }
@@ -566,28 +378,6 @@ impl Memo {
         self.cursor = if more { MORE } else { 0 };
         cand[0]
     }
-}
-
-/// Shard count: explicit requests are honored exactly (so tests can force
-/// any fan-out); auto mode follows the rayon fan-out with a size floor.
-pub(crate) fn resolve_shards(n: usize, threads: usize) -> usize {
-    let t = if threads == 0 {
-        if n < MIN_PARALLEL_N {
-            1
-        } else {
-            rayon::current_num_threads()
-        }
-    } else {
-        threads
-    };
-    t.clamp(1, n.max(1))
-}
-
-/// Even contiguous vertex ranges, one per shard.
-pub(crate) fn shard_bounds(n: usize, nshards: usize) -> Vec<(usize, usize)> {
-    (0..nshards)
-        .map(|i| (i * n / nshards, (i + 1) * n / nshards))
-        .collect()
 }
 
 /// Scheme-specific edge scoring. Scores are pure functions of the edge and
@@ -662,7 +452,7 @@ fn edge_key(rank: &[u32], score: f64, v: Vid, u: Vid) -> u128 {
 fn top_candidates<const K: usize>(
     g: &CsrGraph,
     v: Vid,
-    partner: &[AtomicU32],
+    partner: &[Vid],
     rank: &[u32],
     score: &Scorer<'_>,
 ) -> ([Vid; K], bool) {
@@ -672,11 +462,7 @@ fn top_candidates<const K: usize>(
     let mut ids = [NONE; K];
     let mut more = false;
     for (u, w) in g.adj(v) {
-        // RELAXED: `partner` is frozen during the propose phase (claims
-        // happen in the next phase, after a fork/join barrier), so this
-        // read needs no ordering; in the chain path and the sequential
-        // sweep there is only one thread at all.
-        if partner[u as usize].load(Ordering::Relaxed) != u {
+        if partner[u as usize] != u {
             continue;
         }
         let key = edge_key(rank, score.score(v, u, w), v, u);
@@ -698,29 +484,23 @@ fn top_candidates<const K: usize>(
 }
 
 /// Deterministic sequential finisher: greedy sweep in rank order, matching
-/// each still-unmatched vertex with its best available neighbor. Runs on
-/// one thread whatever `threads` was, so it cannot break determinism; it
-/// restores maximality whenever the round bound cuts the handshake short
-/// (on either path).
+/// each still-unmatched vertex with its best available neighbor. It
+/// restores maximality when the round bound cuts the handshake short.
 fn sequential_sweep(
     g: &CsrGraph,
     order: &[Vid],
-    partner: &[AtomicU32],
+    partner: &mut [Vid],
     rank: &[u32],
     score: &Scorer<'_>,
 ) {
     for &v in order {
-        // RELAXED: single-threaded finisher — it runs after the parallel
-        // rounds' final join barrier (or on the chain path's one thread),
-        // so program order alone sequences every access to the `partner`
-        // slots.
-        if partner[v as usize].load(Ordering::Relaxed) != v {
+        if partner[v as usize] != v {
             continue;
         }
         let u = top_candidates::<1>(g, v, partner, rank, score).0[0];
         if u != NONE {
-            partner[v as usize].store(u, Ordering::Relaxed);
-            partner[u as usize].store(v, Ordering::Relaxed);
+            partner[v as usize] = u;
+            partner[u as usize] = v;
         }
     }
 }
@@ -735,9 +515,9 @@ pub(crate) mod tests {
     use mlgp_graph::rng::seeded;
     use mlgp_graph::GraphBuilder;
 
-    /// The full-rescan kernel the memo replaced, run serially as an oracle:
-    /// every round re-reads every active vertex's whole adjacency and
-    /// compares edges by the `(score, rmin, rmax)` tuple. Returns the
+    /// Local-max handshake rounds, run serially as an oracle: every round
+    /// re-reads every active vertex's whole adjacency and compares edges
+    /// by the `(score, rmin, rmax)` tuple. Returns the
     /// matching, the round count and whether the sweep ran.
     fn reference_matching(
         g: &CsrGraph,
@@ -862,10 +642,9 @@ pub(crate) mod tests {
         (g, cewgt)
     }
 
-    /// One shard runs the chain-following path, more the handshake rounds
-    /// with the memo; both must reproduce the oracle's matching, round
-    /// count and fallback on one graph of every request class, a coarse
-    /// HCM level, and chains at and around the round bound.
+    /// The chain-following kernel must reproduce the oracle's matching,
+    /// round count and fallback on one graph of every request class, a
+    /// coarse HCM level, and chains at and around the round bound.
     #[test]
     fn kernels_match_full_rescan_oracle() {
         let zero = |g: &CsrGraph| vec![0; g.n()];
@@ -904,15 +683,13 @@ pub(crate) mod tests {
                             assert_eq!((rounds, fallback), want_stats, "{name}");
                         }
                     }
-                    for threads in thread_counts() {
-                        let ctx = format!("{name} {scheme:?} seed {seed} @ {threads} threads");
-                        let (got, st) =
-                            compute_matching_threads(g, scheme, cewgt, &mut seeded(seed), threads);
-                        assert_eq!(got.partner, want.partner, "{ctx}");
-                        assert_eq!(got.pairs, want.pairs, "{ctx}");
-                        assert_eq!(st.rounds, rounds, "{ctx}");
-                        assert_eq!(st.fallback, fallback, "{ctx}");
-                    }
+                    let ctx = format!("{name} {scheme:?} seed {seed}");
+                    let (got, st) =
+                        compute_matching_threads(g, scheme, cewgt, &mut seeded(seed), 1);
+                    assert_eq!(got.partner, want.partner, "{ctx}");
+                    assert_eq!(got.pairs, want.pairs, "{ctx}");
+                    assert_eq!(st.rounds, rounds, "{ctx}");
+                    assert_eq!(st.fallback, fallback, "{ctx}");
                 }
             }
         }
@@ -920,25 +697,19 @@ pub(crate) mod tests {
 
     #[test]
     fn memo_bounds_scan_work_on_stiffness_grids() {
-        // A full rescan every round reads ≈ 13× nnz here (30+ rounds with a
-        // slowly shrinking active set); the memo must keep it under 4×.
+        // Handshake rounds that rescanned every active vertex each round
+        // read ≈ 13× nnz here (30+ rounds with a slowly shrinking active
+        // set); the memo must keep the kernel under 4×.
         let g = stiffness3d(20, 20, 20);
         let cewgt = vec![0; g.n()];
-        for threads in [1, 4] {
-            let (_, st) = compute_matching_threads(
-                &g,
-                MatchingScheme::HeavyEdge,
-                &cewgt,
-                &mut seeded(3),
-                threads,
-            );
-            let scanned: u64 = st.edges_scanned.iter().sum();
-            assert!(
-                scanned <= 4 * g.nnz() as u64,
-                "{threads} threads: scanned {scanned} > 4 × nnz {}",
-                g.nnz()
-            );
-        }
+        let (_, st) =
+            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(3), 1);
+        let scanned: u64 = st.edges_scanned.iter().sum();
+        assert!(
+            scanned <= 4 * g.nnz() as u64,
+            "scanned {scanned} > 4 × nnz {}",
+            g.nnz()
+        );
     }
 
     #[test]
@@ -1062,7 +833,7 @@ pub(crate) mod tests {
             for threads in [2, 3, 8] {
                 let (m, st) =
                     compute_matching_threads(&g, scheme, &cewgt, &mut seeded(33), threads);
-                assert_eq!(st.shards, threads);
+                assert_eq!(st.shards, 1);
                 assert_eq!(
                     m.partner, reference.partner,
                     "{scheme:?} @ {threads} threads"
@@ -1098,8 +869,8 @@ pub(crate) mod tests {
         let cewgt = vec![0; g.n()];
         let (_, st) =
             compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(1), 4);
-        assert_eq!(st.shards, 4);
-        assert_eq!(st.edges_scanned.len(), 4);
+        assert_eq!(st.shards, 1);
+        assert_eq!(st.edges_scanned.len(), 1);
         assert!(st.rounds >= 1);
         assert!(st.edges_scanned.iter().sum::<u64>() >= g.nnz() as u64);
     }

@@ -8,7 +8,7 @@
 //! versions; parallelism is an internal detail governed by the ambient
 //! rayon thread cap (`ThreadPool::install`).
 
-use crate::matching::MIN_PARALLEL_N;
+use crate::shards::MIN_PARALLEL_N;
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rayon::prelude::*;
 

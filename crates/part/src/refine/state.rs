@@ -7,7 +7,7 @@
 //! refinement algorithms operate on this state through `move_vertex`, which
 //! maintains every quantity in `O(deg v)`.
 
-use crate::matching::{resolve_shards, shard_bounds, MIN_PARALLEL_N};
+use crate::shards::{resolve_shards, shard_bounds, MIN_PARALLEL_N};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rayon::prelude::*;
 
