@@ -30,8 +30,8 @@ use mlgp_graph::generators::tri_mesh2d;
 use mlgp_graph::rng::seeded;
 use mlgp_linalg::{lanczos_fiedler, vecops, with_fanout, LanczosOptions, Laplacian, SymOp};
 use mlgp_part::{
-    coarsen, compute_matching_threads, contract_threads, edge_cut_kway,
-    kway_partition_refined_traced, metrics, part_weights, MatchingScheme, MlConfig,
+    coarsen, compute_matching, contract, edge_cut_kway, kway_partition_refined_traced, metrics,
+    part_weights, MatchingScheme, MlConfig,
 };
 use mlgp_trace::{Trace, SPAN_COARSEN, SPAN_INIT, SPAN_PROJECT, SPAN_REFINE};
 
@@ -75,25 +75,15 @@ fn main() {
             // run cross-checks determinism across thread counts.
             let (fp, secs) = with_fanout(nt, || match kernel {
                 "match" => timed(|| {
-                    let (m, _) = compute_matching_threads(
-                        &g,
-                        MatchingScheme::HeavyEdge,
-                        &cewgt,
-                        &mut seeded(SEED),
-                        nt,
-                    );
+                    let m =
+                        compute_matching(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(SEED));
                     fingerprint(m.partner.iter().map(|&x| x as u64))
                 }),
                 "contract" => timed(|| {
-                    let (m, _) = compute_matching_threads(
-                        &g,
-                        MatchingScheme::HeavyEdge,
-                        &cewgt,
-                        &mut seeded(SEED),
-                        nt,
-                    );
+                    let m =
+                        compute_matching(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(SEED));
                     let (cmap, nc) = m.to_cmap();
-                    let (c, _) = contract_threads(&g, &cmap, nc, &cewgt, nt);
+                    let c = contract(&g, &cmap, nc, &cewgt);
                     fingerprint(
                         c.graph
                             .adjncy()
@@ -103,7 +93,6 @@ fn main() {
                     )
                 }),
                 "coarsen" => timed(|| {
-                    let cfg = MlConfig { threads: nt, ..cfg };
                     let h = coarsen(&g, &cfg, &mut seeded(SEED));
                     fingerprint(
                         h.graphs
@@ -146,14 +135,13 @@ fn main() {
     }
     // Phase-level scaling of the full refined pipeline (coarsen vs the
     // uncoarsening phases, the paper's CTime vs ITime/RTime/PTime): one
-    // `kway_partition_refined` run per thread count with `cfg.threads`
-    // driving every kernel, fingerprinting the final labeling + cut.
+    // `kway_partition_refined` run per thread count, each under a pool of
+    // that size, fingerprinting the final labeling + cut.
     println!("\nfull pipeline (kway_partition_refined, k=8), per-phase:");
     // Per run: coarsen, init, refine, project and total seconds.
     let mut runs: Vec<(usize, [f64; 5])> = Vec::new();
     let mut reference: Option<u64> = None;
     for &nt in &THREADS {
-        let cfg = MlConfig { threads: nt, ..cfg };
         let trace = Trace::enabled();
         let (r, total) = with_fanout(nt, || {
             timed(|| kway_partition_refined_traced(&g, 8, &cfg, &trace))

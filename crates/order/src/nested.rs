@@ -37,11 +37,10 @@ pub struct NdConfig {
     /// Apply FM-style separator refinement after the minimum vertex cover
     /// (see [`crate::seprefine`]).
     pub refine_separator: bool,
-    /// Worker threads for the recursion forks and the bisector's kernels
-    /// (`0` = leave the multilevel bisector's `MlConfig::threads` and the
-    /// installed pool alone; any other value overrides that knob and
-    /// installs a pool of this size around the run). Orderings are
-    /// bit-identical at every value.
+    /// Ignored. The recursion forks and the bisector's kernels use the
+    /// pool the caller installed (`ThreadPool::install`); orderings are
+    /// bit-identical at every pool size. The field stays only for callers
+    /// that still set it.
     pub threads: usize,
 }
 
@@ -83,21 +82,11 @@ pub fn nested_dissection(g: &CsrGraph, cfg: &NdConfig) -> Permutation {
 /// counter. The multilevel bisector additionally records its own per-level
 /// coarsening/refinement events.
 pub fn nested_dissection_traced(g: &CsrGraph, cfg: &NdConfig, trace: &Trace) -> Permutation {
-    // A nonzero NdConfig::threads overrides the multilevel bisector's
-    // knob and installs the pool that caps every other fan-out.
-    let mut cfg = *cfg;
-    if let NdBisector::Multilevel(ml) = &mut cfg.bisector {
-        if cfg.threads != 0 {
-            ml.threads = cfg.threads;
-        }
-    }
-    mlgp_linalg::with_fanout(cfg.threads, || {
-        let mut seq = Vec::with_capacity(g.n());
-        let all: Vec<Vid> = (0..g.n() as Vid).collect();
-        order_rec(g, &all, &cfg, 1, &mut seq, trace);
-        debug_assert_eq!(seq.len(), g.n());
-        Permutation::from_inverse(seq)
-    })
+    let mut seq = Vec::with_capacity(g.n());
+    let all: Vec<Vid> = (0..g.n() as Vid).collect();
+    order_rec(g, &all, cfg, 1, &mut seq, trace);
+    debug_assert_eq!(seq.len(), g.n());
+    Permutation::from_inverse(seq)
 }
 
 /// Multilevel nested dissection with default settings.

@@ -150,14 +150,14 @@ fn spectral_nested_dissection_is_bit_identical_across_thread_counts() {
     // Lanczos fallback), separator extraction, MMD leaves. Use a small
     // parallel_threshold so the recursion actually forks.
     let g = lshape(40);
-    let cfg = |threads| NdConfig {
+    let cfg = NdConfig {
         parallel_threshold: 256,
-        threads,
         ..NdConfig::snd()
     };
-    let reference = nested_dissection(&g, &cfg(1));
+    let run = |t| with_fanout(t, || nested_dissection(&g, &cfg));
+    let reference = run(1);
     for &t in &thread_counts()[1..] {
-        let p = nested_dissection(&g, &cfg(t));
+        let p = run(t);
         assert_eq!(
             p.perm(),
             reference.perm(),
@@ -172,14 +172,14 @@ fn mlnd_with_parallel_trials_is_bit_identical_across_thread_counts() {
     // fans trials out in parallel; the ordering must stay a pure function
     // of (graph, config, seed).
     let g = tri_mesh2d(34, 30, 2);
-    let cfg = |threads| NdConfig {
+    let cfg = NdConfig {
         parallel_threshold: 256,
-        threads,
         ..NdConfig::mlnd()
     };
-    let reference = nested_dissection(&g, &cfg(1));
+    let run = |t| with_fanout(t, || nested_dissection(&g, &cfg));
+    let reference = run(1);
     for &t in &thread_counts()[1..] {
-        let p = nested_dissection(&g, &cfg(t));
+        let p = run(t);
         assert_eq!(
             p.perm(),
             reference.perm(),

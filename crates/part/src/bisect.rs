@@ -163,14 +163,14 @@ pub(crate) fn bisect_targets_branch(
         cfg.initial,
         cfg.trials(),
         &mut rng,
-        cfg.threads,
+        0,
         trace,
     );
     trace.stop(t, SPAN_INIT);
 
     // Refine the coarsest-level partition, then uncoarsen level by level.
     let t = trace.start();
-    let mut state = BisectState::with_threads(h.coarsest(), coarse_part, cfg.threads);
+    let mut state = BisectState::new(h.coarsest(), coarse_part);
     refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, h.levels() - 1);
     trace.stop(t, SPAN_REFINE);
     let (mut part, mut cut, mut pwgts) = (std::mem::take(&mut state.part), state.cut, state.pwgts);
@@ -178,7 +178,7 @@ pub(crate) fn bisect_targets_branch(
     for level in (0..h.levels() - 1).rev() {
         let t = trace.start();
         let fine_part = h.project(level, &part);
-        let mut state = BisectState::with_threads(&h.graphs[level], fine_part, cfg.threads);
+        let mut state = BisectState::new(&h.graphs[level], fine_part);
         trace.stop(t, SPAN_PROJECT);
         let t = trace.start();
         refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, level);

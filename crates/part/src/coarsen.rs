@@ -55,10 +55,11 @@ pub fn coarsen<R: Rng>(g: &CsrGraph, cfg: &MlConfig, rng: &mut R) -> Hierarchy {
     coarsen_traced(g, cfg, rng, &Trace::disabled())
 }
 
-/// [`coarsen`] with kernel telemetry: records per-level parallel-kernel
-/// counters (`par_matching_rounds`, `par_matching_fallbacks`, per-shard
-/// edge-scan work) into `trace` when it is enabled. The hierarchy itself
-/// is identical to [`coarsen`]'s — tracing never perturbs the result.
+/// [`coarsen`] with kernel telemetry: records per-level kernel counters
+/// (`par_matching_rounds`, `par_matching_fallbacks`, `match_edges_scanned`,
+/// and contraction's shard count and per-shard entries) into `trace` when
+/// it is enabled. The hierarchy itself is identical to [`coarsen`]'s —
+/// tracing never perturbs the result.
 pub fn coarsen_traced<R: Rng>(
     g: &CsrGraph,
     cfg: &MlConfig,
@@ -75,21 +76,18 @@ pub fn coarsen_traced<R: Rng>(
         if n <= cfg.coarsen_to.max(2) || cur.m() == 0 {
             break;
         }
-        let (m, mstats) = compute_matching_threads(cur, cfg.matching, &cewgt, rng, cfg.threads);
+        let (m, mstats) = compute_matching_threads(cur, cfg.matching, &cewgt, rng, 0);
         let (cmap, nc) = m.to_cmap();
         if nc as f64 > cfg.min_coarsen_shrink * n as f64 {
             // Matching stagnated (e.g. star graphs); stop coarsening.
             break;
         }
-        let (c, cstats) = contract_threads(cur, &cmap, nc, &cewgt, cfg.threads);
+        let (c, cstats) = contract_threads(cur, &cmap, nc, &cewgt, 0);
         if trace.is_enabled() {
             trace.count("par_matching_rounds", mstats.rounds as u64);
             trace.count("par_matching_fallbacks", mstats.fallback as u64);
-            trace.count("par_match_shards", mstats.shards as u64);
+            trace.count("match_edges_scanned", mstats.edges_scanned);
             trace.count("par_contract_shards", cstats.shards as u64);
-            for (i, &e) in mstats.edges_scanned.iter().enumerate() {
-                trace.count(&format!("par_match_shard{i}_edges"), e);
-            }
             for (i, &e) in cstats.entries.iter().enumerate() {
                 trace.count(&format!("par_contract_shard{i}_entries"), e);
             }

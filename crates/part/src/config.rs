@@ -156,12 +156,11 @@ pub struct MlConfig {
     pub hybrid_boundary_frac: f64,
     /// RNG seed (the paper fixes its seed for all experiments).
     pub seed: u64,
-    /// Worker threads for the parallel coarsening, uncoarsening
-    /// (projection, refinement-state, k-way sweep) and metric kernels: `0`
-    /// follows the ambient rayon fan-out (`ThreadPool::install` caps it),
-    /// any other value forces exactly that many shards. Results are
-    /// bit-identical for every value — the kernels are deterministic by
-    /// construction (see `matching.rs`) — so this is purely a speed knob.
+    /// Ignored. The parallel kernels take one shard per thread of the
+    /// installed pool (`ThreadPool::install`, the CLI's `--threads`) on
+    /// levels of at least 8192 vertices, and one below; results are
+    /// bit-identical either way. The field stays only for callers that
+    /// still set it.
     pub threads: usize,
 }
 

@@ -20,8 +20,7 @@
 //!
 //! Each coarse row is a pure function of `(g, cmap)` — no cross-shard
 //! state — and rows are emitted sorted, so the output is bit-identical for
-//! every shard count. `contract(...)` (auto threads) and
-//! [`contract_threads`] with any explicit `threads` agree exactly.
+//! every shard count.
 //!
 //! # One shard: direct build and transpose
 //!
@@ -34,13 +33,19 @@
 //! per-row sort and no copy out of shard buffers. Both kernels fold rows
 //! with the same `fold_row`.
 //!
-//! The sharded kernel stays for more than one shard. On a 2-vCPU x86-64
-//! host, running the one-shard kernel at every shard count made the
-//! two-thread `nd-order` benchmark about 5 % faster at p50 but raised its
-//! peak RSS by about 13 %, while the matching kernel's equivalent change
-//! (see `matching.rs`) cost no memory.
+//! # Which kernel runs
+//!
+//! The level's size and the installed pool choose (`shards.rs`): a coarse
+//! level below `MIN_PARALLEL_N` vertices, or any level under a one-thread
+//! pool, takes the one-shard kernel, and a larger level under a wider pool
+//! takes the sharded one. Neither kernel wins clearly where both can run.
+//! On a 2-vCPU x86-64 host, over 10 alternating 45 s pairs of the
+//! two-thread `nd-order` benchmark, the one-shard kernel at every level
+//! gave p50 latency 0.236 s and peak RSS 46.0 MiB against 0.229 s and
+//! 45.6 MiB for this choice, which was faster in 6 of the 10 pairs; both
+//! gaps are inside the runs' quartile spread.
 
-use crate::shards::{resolve_shards, shard_bounds};
+use crate::shards::{shard_bounds, shard_count};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rayon::prelude::*;
 
@@ -84,14 +89,15 @@ struct ShardRows {
     entries: u64,
 }
 
-/// [`contract`] with an explicit thread count (`0` = the rayon fan-out) and
-/// kernel telemetry. Output is bit-identical for every `threads` value.
+/// [`contract`] with kernel telemetry. The shard count follows the coarse
+/// level's size and the installed pool; `_threads` is ignored, and kept
+/// only for callers that still pass one.
 pub fn contract_threads(
     g: &CsrGraph,
     cmap: &[Vid],
     ncoarse: usize,
     cewgt: &[Wgt],
-    threads: usize,
+    _threads: usize,
 ) -> (Contraction, ContractStats) {
     let n = g.n();
     assert_eq!(cmap.len(), n);
@@ -117,7 +123,7 @@ pub fn contract_threads(
 
     let members_of = |c: usize| &members[ccount[c] as usize..ccount[c + 1] as usize];
 
-    let nshards = resolve_shards(ncoarse, threads);
+    let nshards = shard_count(ncoarse);
     if nshards == 1 {
         return contract_serial(g, cmap, ncoarse, cewgt, members_of);
     }
@@ -339,9 +345,11 @@ mod tests {
     use super::*;
     use crate::config::MatchingScheme;
     use crate::matching::compute_matching;
+    use crate::shards::{shard_counts, with_shards};
     use mlgp_graph::generators::{grid2d, powerlaw, tri_mesh2d};
     use mlgp_graph::rng::seeded;
     use mlgp_graph::GraphBuilder;
+    use rand::RngExt;
 
     #[test]
     fn contract_square_pairwise() {
@@ -422,23 +430,49 @@ mod tests {
         assert_eq!(c.cewgt, vec![0; g.n()]);
     }
 
+    /// Contract at a forced shard count, whatever the level size.
+    fn contract_at(
+        shards: usize,
+        g: &CsrGraph,
+        cmap: &[Vid],
+        nc: usize,
+        cewgt: &[Wgt],
+    ) -> (Contraction, ContractStats) {
+        with_shards(shards, || contract_threads(g, cmap, nc, cewgt, 0))
+    }
+
     #[test]
     fn shard_count_does_not_change_the_graph() {
         let g = tri_mesh2d(20, 16, 9);
         let cewgt = vec![0; g.n()];
         let m = compute_matching(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(7));
         let (cmap, nc) = m.to_cmap();
-        let (reference, s1) = contract_threads(&g, &cmap, nc, &cewgt, 1);
+        let (reference, s1) = contract_at(1, &g, &cmap, nc, &cewgt);
         assert_eq!(s1.shards, 1);
-        for threads in [2, 3, 8] {
-            let (c, st) = contract_threads(&g, &cmap, nc, &cewgt, threads);
-            assert_eq!(st.shards, threads);
-            assert_eq!(c.graph, reference.graph, "{threads} threads");
+        for shards in shard_counts() {
+            let (c, st) = contract_at(shards, &g, &cmap, nc, &cewgt);
+            assert_eq!(st.shards, shards);
+            assert_eq!(c.graph, reference.graph, "{shards} shards");
             assert_eq!(c.cewgt, reference.cewgt);
+            // Every fine adjacency entry is scanned exactly once.
+            assert_eq!(st.entries.iter().sum::<u64>(), g.nnz() as u64);
         }
-        // The parallel kernel scanned every fine adjacency entry exactly once.
-        let (_, st) = contract_threads(&g, &cmap, nc, &cewgt, 4);
-        assert_eq!(st.entries.iter().sum::<u64>(), g.nnz() as u64);
+    }
+
+    #[test]
+    fn level_size_and_pool_pick_the_shard_count() {
+        // An identity map keeps every vertex, so the coarse level is as
+        // large as the fine one: below the floor on the small grid, above
+        // it on the large one. The thread count passed in is ignored.
+        mlgp_linalg::with_fanout(2, || {
+            for (side, want) in [(40, 1), (100, 2)] {
+                let g = grid2d(side, side);
+                let cmap: Vec<Vid> = (0..g.n() as Vid).collect();
+                let (c, st) = contract_threads(&g, &cmap, g.n(), &vec![0; g.n()], 2);
+                assert_eq!(st.shards, want, "{} coarse vertices", g.n());
+                assert_eq!(c.graph, g);
+            }
+        });
     }
 
     #[test]
@@ -452,8 +486,8 @@ mod tests {
         for level in 0..3 {
             let m = compute_matching(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(level));
             let (cmap, nc) = m.to_cmap();
-            let (one, s1) = contract_threads(&g, &cmap, nc, &cewgt, 1);
-            let (three, s3) = contract_threads(&g, &cmap, nc, &cewgt, 3);
+            let (one, s1) = contract_at(1, &g, &cmap, nc, &cewgt);
+            let (three, s3) = contract_at(3, &g, &cmap, nc, &cewgt);
             assert_eq!((s1.shards, s3.shards), (1, 3));
             assert_eq!(one.graph, three.graph, "level {level}");
             assert_eq!(one.cewgt, three.cewgt, "level {level}");
@@ -468,10 +502,43 @@ mod tests {
         // Any map works, not only a matching's: scattered five-way merges.
         let nc = g.n() / 5;
         let cmap: Vec<Vid> = (0..g.n() as Vid).map(|v| v % nc as Vid).collect();
-        let (one, _) = contract_threads(&g, &cmap, nc, &cewgt, 1);
-        let (three, _) = contract_threads(&g, &cmap, nc, &cewgt, 3);
+        let (one, _) = contract_at(1, &g, &cmap, nc, &cewgt);
+        let (three, _) = contract_at(3, &g, &cmap, nc, &cewgt);
         assert_eq!(one.graph, three.graph);
         assert_eq!(one.cewgt, three.cewgt);
+    }
+
+    #[test]
+    fn sharded_kernel_matches_one_shard_on_random_graphs() {
+        // Small random graphs with weighted edges, every scheme, shard
+        // counts up to more than some levels have coarse vertices.
+        for seed in 0..24u64 {
+            let mut rng = seeded(seed);
+            let n = 4 + rng.random_range(0..120usize);
+            let mut b = GraphBuilder::new(n);
+            for v in 1..n {
+                let u = rng.random_range(0..v);
+                b.add_weighted_edge(v as Vid, u as Vid, 1 + rng.random_range(0..6));
+            }
+            for _ in 0..rng.random_range(0..180usize) {
+                let (u, v) = (rng.random_range(0..n), rng.random_range(0..n));
+                if u != v {
+                    b.add_weighted_edge(u as Vid, v as Vid, 1 + rng.random_range(0..6));
+                }
+            }
+            let g = b.build();
+            let cewgt = vec![0; g.n()];
+            for scheme in MatchingScheme::all() {
+                let m = compute_matching(&g, scheme, &cewgt, &mut seeded(seed ^ 5));
+                let (cmap, nc) = m.to_cmap();
+                let (one, _) = contract_at(1, &g, &cmap, nc, &cewgt);
+                for shards in [2, 5, 8] {
+                    let (c, _) = contract_at(shards, &g, &cmap, nc, &cewgt);
+                    assert_eq!(c.graph, one.graph, "seed {seed} {scheme:?} {shards} shards");
+                    assert_eq!(c.cewgt, one.cewgt);
+                }
+            }
+        }
     }
 
     #[test]

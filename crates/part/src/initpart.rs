@@ -15,7 +15,8 @@
 //! many siblings run or in what order they finish. The winner is selected
 //! by the strict total order *(balanced first, then lower cut, then lower
 //! trial index)*, which makes the reduction independent of evaluation
-//! order and therefore of the thread count.
+//! order and therefore of the thread count. The trials fan out over the
+//! pool the caller installed; no thread count is passed in.
 
 use crate::config::InitialPartitioning;
 use crate::metrics::edge_cut_bisection;
@@ -41,18 +42,17 @@ pub fn initial_partition<R: Rng>(
     initial_partition_traced(g, bt, scheme, trials, rng, 0, &Trace::disabled())
 }
 
-/// [`initial_partition`] with a worker-thread knob (`0` = the installed
-/// pool, any other value installs a pool of that size around the whole
-/// call; purely a speed knob, results are bit-identical at every value)
-/// and telemetry: each growing trial bumps the `init_trial` counter and
-/// the spectral scheme records an `eigen` event per Fiedler solve.
+/// [`initial_partition`] with telemetry: each growing trial bumps the
+/// `init_trial` counter and the spectral scheme records an `eigen` event
+/// per Fiedler solve. `_threads` is ignored (the trials fan out over the
+/// installed pool), and kept only for callers that still pass one.
 pub fn initial_partition_traced<R: Rng>(
     g: &CsrGraph,
     bt: &BalanceTargets,
     scheme: InitialPartitioning,
     trials: usize,
     rng: &mut R,
-    threads: usize,
+    _threads: usize,
     trace: &Trace,
 ) -> Vec<u8> {
     let n = g.n();
@@ -66,11 +66,11 @@ pub fn initial_partition_traced<R: Rng>(
     // see the same stream whether we run 1 trial or 100 (and the spectral
     // scheme burns the draw too, so switching schemes is also neutral).
     let base = rng.next_u64();
-    mlgp_linalg::with_fanout(threads, || match scheme {
+    match scheme {
         InitialPartitioning::GraphGrowing => best_of(g, bt, trials, base, trace, grow_bfs),
         InitialPartitioning::GreedyGraphGrowing => best_of(g, bt, trials, base, trace, grow_greedy),
         InitialPartitioning::Spectral => spectral_split(g, bt, trace),
-    })
+    }
 }
 
 /// Independent RNG stream for trial `t`: SplitMix64 mix of `(base, t)`,
@@ -400,7 +400,7 @@ mod tests {
 
     #[test]
     fn trial_fanout_thread_invariant() {
-        // The winner must be bit-identical at every fan-out.
+        // The winner must be bit-identical at every pool size.
         let g = tri_mesh2d(14, 14, 6);
         let bt = BalanceTargets::even(g.total_vwgt(), 1.05);
         for scheme in [
@@ -409,7 +409,9 @@ mod tests {
         ] {
             let run = |threads: usize| {
                 let mut rng = seeded(0xabcd);
-                initial_partition_traced(&g, &bt, scheme, 7, &mut rng, threads, &Trace::disabled())
+                mlgp_linalg::with_fanout(threads, || {
+                    initial_partition(&g, &bt, scheme, 7, &mut rng)
+                })
             };
             let reference = run(1);
             for threads in [2usize, 3, 8] {

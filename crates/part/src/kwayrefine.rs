@@ -21,18 +21,18 @@
 //!    neighborhood changes this round — every committed gain is *exact*
 //!    and the cut never increases.
 //! 3. **Commit** — winners are bucketed by destination part in vertex
-//!    order; each part accepts its candidates best-first while reserving
-//!    vertex weight from its budget slot (`ub − pwgt`) with the same CAS
-//!    pattern as the matching claim phase. Each budget slot is owned by
-//!    exactly one bucket, so every reservation is conflict-free and the
-//!    accepted set is schedule-independent. Rejected and losing vertices
-//!    simply re-propose next round against the updated snapshot.
+//!    order; each part, in its own task, accepts its candidates best-first
+//!    while they fit in its budget `ub − pwgt`. Only that task reads or
+//!    changes the budget, so the accepted set is schedule-independent.
+//!    Rejected and losing vertices simply re-propose next round against
+//!    the updated snapshot.
 //!
 //! The result is a pure function of `(graph, partition, k, options.seed)`:
-//! any thread count produces the bit-identical refined partition. The
-//! globally maximal proposer always wins and always fits its
-//! (snapshot-legal) budget, so every round with proposals commits at least
-//! one move.
+//! any shard count produces the bit-identical refined partition, and the
+//! shard count follows the graph's size and the installed pool
+//! (`shards.rs`). The globally maximal proposer always wins and always
+//! fits its (snapshot-legal) budget, so every round with proposals commits
+//! at least one move.
 //!
 //! # Cost: boundary-only proposals
 //!
@@ -49,7 +49,7 @@
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
 use crate::metrics::{edge_cut_kway, part_weights};
-use crate::shards::{resolve_shards, shard_bounds, MIN_PARALLEL_N};
+use crate::shards::{shard_bounds, shard_count, MIN_PARALLEL_N};
 use mlgp_graph::rng::{random_order, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use mlgp_trace::{Event, Trace, SPAN_REFINE};
@@ -68,8 +68,8 @@ pub struct KwayRefineOptions {
     pub imbalance: f64,
     /// Seed for the rank permutation (the commit tie-breaker).
     pub seed: u64,
-    /// Worker threads (`0` = the ambient rayon fan-out). The refined
-    /// partition is bit-identical for every value.
+    /// Ignored. The shard count follows the graph's size and the installed
+    /// pool; the field stays only for callers that still set it.
     pub threads: usize,
 }
 
@@ -172,7 +172,7 @@ pub fn kway_refine_stats(
     let avg = total as f64 / k as f64;
     let ub = (avg * opts.imbalance).ceil() as Wgt;
 
-    let nshards = resolve_shards(n, opts.threads);
+    let nshards = shard_count(n);
     let mut shards: Vec<RefineShard> = shard_bounds(n, nshards)
         .into_iter()
         .map(|(lo, hi)| RefineShard {
@@ -310,8 +310,8 @@ pub fn kway_refine_stats(
                 }
             });
         // Commit: bucket winners by destination in vertex order, then each
-        // part accepts best-first while CAS-reserving from its own budget
-        // slot (single owner per slot → deterministic greedy acceptance).
+        // part accepts best-first while its weight stays within the bound.
+        // Only bucket `p`'s task reads or changes part `p`'s budget.
         let mut buckets: Vec<Vec<(Vid, Wgt)>> = vec![Vec::new(); k];
         let mut winners_total = 0usize;
         for sh in &shards {
@@ -322,9 +322,9 @@ pub fn kway_refine_stats(
                 winners_total += 1;
             }
         }
-        let budget: Vec<AtomicI64> = pwgts.iter().map(|&w| AtomicI64::new(ub - w)).collect();
         {
             let rank_ro: &[u32] = &rank;
+            let pwgts_ro: &[Wgt] = &pwgts;
             buckets
                 .par_iter_mut()
                 .enumerate()
@@ -333,30 +333,14 @@ pub fn kway_refine_stats(
                     bucket.sort_unstable_by(|&(va, ga), &(vb, gb)| {
                         (gb, rank_ro[vb as usize]).cmp(&(ga, rank_ro[va as usize]))
                     });
-                    // RELAXED: `budget[p]` is a single-owner slot — the
-                    // rayon task for bucket `p` is the only thread that
-                    // ever touches it, so the CAS cannot be contended and
-                    // carries no cross-thread edge; the accepted moves are
-                    // applied serially after the commit barrier.
+                    let mut left = ub - pwgts_ro[p];
                     bucket.retain(|&(v, _)| {
                         let vw = g.vwgt()[v as usize];
-                        loop {
-                            let cur = budget[p].load(Ordering::Relaxed);
-                            if cur < vw {
-                                return false;
-                            }
-                            if budget[p]
-                                .compare_exchange(
-                                    cur,
-                                    cur - vw,
-                                    Ordering::Relaxed,
-                                    Ordering::Relaxed,
-                                )
-                                .is_ok()
-                            {
-                                return true;
-                            }
+                        let fits = vw <= left;
+                        if fits {
+                            left -= vw;
                         }
+                        fits
                     });
                 });
         }
@@ -437,7 +421,6 @@ pub fn kway_partition_refined_traced(
     let opts = KwayRefineOptions {
         imbalance: cfg.imbalance,
         seed: cfg.seed ^ 0x5eed,
-        threads: cfg.threads,
         ..KwayRefineOptions::default()
     };
     let t = trace.start();
@@ -450,8 +433,8 @@ pub fn kway_partition_refined_traced(
 mod tests {
     use super::*;
     use crate::kway::kway_partition;
-    use crate::matching::tests::thread_counts;
     use crate::metrics::{boundary_count, imbalance};
+    use crate::shards::{shard_counts, with_shards};
     use mlgp_graph::generators::{grid2d, powerlaw, tet_mesh3d, tri_mesh2d};
 
     /// The full-scan kernel the boundary counts replaced, run serially as
@@ -583,16 +566,12 @@ mod tests {
                 let mut want_part = start.clone();
                 let (want_cut, want) = reference_refine(g, &mut want_part, k, &opts);
                 moved += want.moves;
-                for threads in thread_counts() {
-                    let ctx = format!("{name} k={k} @ {threads} threads");
+                for shards in shard_counts() {
+                    let ctx = format!("{name} k={k} @ {shards} shards");
                     let mut part = start.clone();
-                    let (cut, stats) = kway_refine_stats(
-                        g,
-                        &mut part,
-                        k,
-                        &KwayRefineOptions { threads, ..opts },
-                        &Trace::disabled(),
-                    );
+                    let (cut, stats) = with_shards(shards, || {
+                        kway_refine_stats(g, &mut part, k, &opts, &Trace::disabled())
+                    });
                     assert_eq!(part, want_part, "{ctx}");
                     assert_eq!(cut, want_cut, "{ctx}");
                     assert_eq!(stats, want, "{ctx}");
@@ -716,26 +695,20 @@ mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_refinement() {
+    fn shard_count_does_not_change_the_refinement() {
         let g = tri_mesh2d(26, 22, 3);
         let base = kway_partition(&g, 8, &MlConfig::default()).part;
-        let run = |threads: usize| {
+        let run = |shards: usize| {
             let mut part = base.clone();
-            let (cut, stats) = kway_refine_stats(
-                &g,
-                &mut part,
-                8,
-                &KwayRefineOptions {
-                    threads,
-                    ..KwayRefineOptions::default()
-                },
-                &Trace::disabled(),
-            );
+            let opts = KwayRefineOptions::default();
+            let (cut, stats) = with_shards(shards, || {
+                kway_refine_stats(&g, &mut part, 8, &opts, &Trace::disabled())
+            });
             (part, cut, stats.rounds, stats.moves)
         };
         let reference = run(1);
-        for threads in [2, 3, 8] {
-            assert_eq!(run(threads), reference, "diverged at {threads} threads");
+        for shards in [2, 3, 8] {
+            assert_eq!(run(shards), reference, "diverged at {shards} shards");
         }
     }
 

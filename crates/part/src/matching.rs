@@ -30,8 +30,7 @@
 //! guards pathological inputs (monotone weight chains match one pair a
 //! round); pairs the handshake would match after the bound are left to a
 //! sequential rank-order sweep that finishes the matching. The result is a
-//! pure function of `(graph, scheme, seed)`; the `threads` argument of
-//! [`compute_matching_threads`] changes nothing.
+//! pure function of `(graph, scheme, seed)`, whatever pool it runs in.
 //!
 //! # Chain following
 //!
@@ -84,15 +83,13 @@ pub struct MatchStats {
     /// Handshake rounds the matching corresponds to (0 for the empty
     /// graph), capped at the round bound.
     pub rounds: usize,
-    /// Shards the kernel ran on: always 1, since the kernel is serial.
-    pub shards: usize,
     /// Whether the round bound tripped and the sequential sweep finished
     /// the matching.
     pub fallback: bool,
-    /// Adjacency entries read by full rescans, one entry per shard.
-    /// Candidates answered from a vertex's memo read no adjacency and are
-    /// not counted, nor is the pass that recovers each pair's round.
-    pub edges_scanned: Vec<u64>,
+    /// Adjacency entries read by full rescans. Candidates answered from a
+    /// vertex's memo read no adjacency and are not counted, nor is the pass
+    /// that recovers each pair's round.
+    pub edges_scanned: u64,
 }
 
 impl Matching {
@@ -183,9 +180,8 @@ pub fn compute_matching<R: Rng>(
     compute_matching_threads(g, scheme, cewgt, rng, 0).0
 }
 
-/// [`compute_matching`] with kernel telemetry. The kernel is serial:
-/// `threads` is accepted for callers that pass one through and changes
-/// neither the matching nor the work.
+/// [`compute_matching`] with kernel telemetry. The kernel is serial and
+/// `_threads` is ignored, kept only for callers that still pass one.
 pub fn compute_matching_threads<R: Rng>(
     g: &CsrGraph,
     scheme: MatchingScheme,
@@ -266,9 +262,8 @@ fn chain_matching(
     }
     let mut stats = MatchStats {
         rounds: max_round as usize,
-        shards: 1,
         fallback: false,
-        edges_scanned: vec![scanned],
+        edges_scanned: scanned,
     };
     let bound = max_rounds(n);
     if stats.rounds >= bound {
@@ -506,7 +501,7 @@ fn sequential_sweep(
 }
 
 #[cfg(test)]
-pub(crate) mod tests {
+mod tests {
     use super::*;
     use crate::contract::contract;
     use mlgp_graph::generators::{
@@ -514,6 +509,7 @@ pub(crate) mod tests {
     };
     use mlgp_graph::rng::seeded;
     use mlgp_graph::GraphBuilder;
+    use mlgp_linalg::with_fanout;
 
     /// Local-max handshake rounds, run serially as an oracle: every round
     /// re-reads every active vertex's whole adjacency and compares edges
@@ -601,21 +597,6 @@ pub(crate) mod tests {
         (Matching { partner, pairs }, rounds, fallback)
     }
 
-    /// Thread counts for the differential tests, plus `MLGP_THREADS` when
-    /// it is set.
-    pub(crate) fn thread_counts() -> Vec<usize> {
-        let mut counts = vec![1usize, 2, 3, 4, 8];
-        if let Some(t) = std::env::var("MLGP_THREADS")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-        {
-            if t > 0 && !counts.contains(&t) {
-                counts.push(t);
-            }
-        }
-        counts
-    }
-
     /// A monotone-weight path: every vertex proposes toward the heavy end,
     /// so each handshake round matches exactly one pair.
     fn monotone_chain(n: u32) -> CsrGraph {
@@ -685,7 +666,7 @@ pub(crate) mod tests {
                     }
                     let ctx = format!("{name} {scheme:?} seed {seed}");
                     let (got, st) =
-                        compute_matching_threads(g, scheme, cewgt, &mut seeded(seed), 1);
+                        compute_matching_threads(g, scheme, cewgt, &mut seeded(seed), 0);
                     assert_eq!(got.partner, want.partner, "{ctx}");
                     assert_eq!(got.pairs, want.pairs, "{ctx}");
                     assert_eq!(st.rounds, rounds, "{ctx}");
@@ -703,8 +684,8 @@ pub(crate) mod tests {
         let g = stiffness3d(20, 20, 20);
         let cewgt = vec![0; g.n()];
         let (_, st) =
-            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(3), 1);
-        let scanned: u64 = st.edges_scanned.iter().sum();
+            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(3), 0);
+        let scanned = st.edges_scanned;
         assert!(
             scanned <= 4 * g.nnz() as u64,
             "scanned {scanned} > 4 × nnz {}",
@@ -824,21 +805,22 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn thread_count_does_not_change_the_matching() {
+    fn pool_size_does_not_change_the_matching() {
         let g = tri_mesh2d(24, 18, 7);
         let cewgt = vec![0; g.n()];
+        let run = |threads: usize, scheme| {
+            with_fanout(threads, || {
+                compute_matching(&g, scheme, &cewgt, &mut seeded(33)).partner
+            })
+        };
         for scheme in MatchingScheme::all() {
-            let (reference, s1) = compute_matching_threads(&g, scheme, &cewgt, &mut seeded(33), 1);
-            assert_eq!(s1.shards, 1);
+            let reference = run(1, scheme);
             for threads in [2, 3, 8] {
-                let (m, st) =
-                    compute_matching_threads(&g, scheme, &cewgt, &mut seeded(33), threads);
-                assert_eq!(st.shards, 1);
                 assert_eq!(
-                    m.partner, reference.partner,
+                    run(threads, scheme),
+                    reference,
                     "{scheme:?} @ {threads} threads"
                 );
-                assert_eq!(m.pairs, reference.pairs);
             }
         }
     }
@@ -850,10 +832,12 @@ pub(crate) mod tests {
         // that trips the round bound and exercises the sequential sweep.
         let g = monotone_chain(600);
         let cewgt = vec![0; g.n()];
-        let (m1, s1) =
-            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(2), 1);
-        let (m4, s4) =
-            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(2), 4);
+        let run = |threads: usize| {
+            with_fanout(threads, || {
+                compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(2), 0)
+            })
+        };
+        let ((m1, s1), (m4, s4)) = (run(1), run(4));
         assert!(
             s1.fallback && s4.fallback,
             "expected the round bound to trip"
@@ -868,10 +852,8 @@ pub(crate) mod tests {
         let g = grid2d(40, 40);
         let cewgt = vec![0; g.n()];
         let (_, st) =
-            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(1), 4);
-        assert_eq!(st.shards, 1);
-        assert_eq!(st.edges_scanned.len(), 1);
+            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(1), 0);
         assert!(st.rounds >= 1);
-        assert!(st.edges_scanned.iter().sum::<u64>() >= g.nnz() as u64);
+        assert!(st.edges_scanned >= g.nnz() as u64);
     }
 }

@@ -6,8 +6,15 @@
 //! KL gain of moving `v` is `ed[v] − id[v]`, and `cut = Σ ed / 2`. All
 //! refinement algorithms operate on this state through `move_vertex`, which
 //! maintains every quantity in `O(deg v)`.
+//!
+//! Building the state shards the vertex range above `MIN_PARALLEL_N`
+//! vertices, one shard per thread of the installed pool (`shards.rs`):
+//! each shard computes its vertices' degrees and its partial part weights
+//! and cut, and the partials are combined in shard order, so the state is
+//! bit-identical at every shard count. A smaller graph, or a one-thread
+//! pool, takes the serial build.
 
-use crate::shards::{resolve_shards, shard_bounds, MIN_PARALLEL_N};
+use crate::shards::{shard_bounds, shard_count, MIN_PARALLEL_N};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rayon::prelude::*;
 
@@ -29,20 +36,11 @@ pub struct BisectState<'g> {
 
 impl<'g> BisectState<'g> {
     /// Build the state for an existing partition in `O(n + m)` work,
-    /// auto-threaded over the ambient rayon fan-out.
+    /// sharded over the installed pool above the size floor.
     pub fn new(g: &'g CsrGraph, part: Vec<u8>) -> Self {
-        Self::with_threads(g, part, 0)
-    }
-
-    /// [`BisectState::new`] with an explicit worker-thread request (`0` =
-    /// ambient). The construction shards the vertex range; every per-vertex
-    /// quantity is computed independently and the shard partials (part
-    /// weights, cut) are combined in shard order, so the state is
-    /// bit-identical for every thread count.
-    pub fn with_threads(g: &'g CsrGraph, part: Vec<u8>, threads: usize) -> Self {
         assert_eq!(part.len(), g.n());
         let n = g.n();
-        let nshards = resolve_shards(n, threads);
+        let nshards = shard_count(n);
         if nshards <= 1 {
             return Self::build_serial(g, part);
         }
@@ -109,6 +107,12 @@ impl<'g> BisectState<'g> {
             id,
             cut,
         }
+    }
+
+    /// [`BisectState::new`]; `_threads` is ignored, and kept only for
+    /// callers that still pass one.
+    pub fn with_threads(g: &'g CsrGraph, part: Vec<u8>, _threads: usize) -> Self {
+        Self::new(g, part)
     }
 
     /// Serial construction (the single-shard fast path).
@@ -229,8 +233,24 @@ impl<'g> BisectState<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mlgp_graph::generators::grid2d;
+    use crate::shards::{shard_counts, with_shards};
+    use mlgp_graph::generators::{grid2d, powerlaw, tri_mesh2d};
     use mlgp_graph::GraphBuilder;
+
+    #[test]
+    fn sharded_build_matches_serial_build() {
+        for g in [tri_mesh2d(30, 24, 5), powerlaw(2000, 3, 4)] {
+            let part: Vec<u8> = (0..g.n()).map(|v| ((v * 7 / 5) % 2) as u8).collect();
+            let serial = BisectState::build_serial(&g, part.clone());
+            for shards in shard_counts() {
+                let s = with_shards(shards, || BisectState::new(&g, part.clone()));
+                assert_eq!(s.cut, serial.cut, "{shards} shards");
+                assert_eq!(s.pwgts, serial.pwgts, "{shards} shards");
+                assert_eq!(s.ed, serial.ed, "{shards} shards");
+                assert_eq!(s.id, serial.id, "{shards} shards");
+            }
+        }
+    }
 
     #[test]
     fn initial_state_of_square() {

@@ -4,6 +4,7 @@
 
 use mlgp_graph::rng::seeded;
 use mlgp_graph::{CsrGraph, GraphBuilder};
+use mlgp_linalg::with_fanout;
 use mlgp_part::refine::{fm_pass, refine_level, BalanceTargets, BisectState, GainQueue};
 use mlgp_part::{coarsen, MatchingScheme, MlConfig, RefinementPolicy};
 use proptest::prelude::*;
@@ -126,25 +127,25 @@ proptest! {
         seed in 0u64..500,
         threads in 1usize..9,
     ) {
-        // The parallel kernel's core contract: a valid (symmetric,
-        // vertex-disjoint, edges-only) maximal matching whose partner
-        // array does not depend on the shard count.
+        // The kernel's core contract: a valid (symmetric, vertex-disjoint,
+        // edges-only) maximal matching whose partner array does not depend
+        // on the installed pool.
         let g = random_graph(n, extra, seed);
         let cewgt = vec![0; g.n()];
         for scheme in MatchingScheme::all() {
-            let (reference, _) = mlgp_part::compute_matching_threads(
-                &g, scheme, &cewgt, &mut seeded(seed ^ 21), 1);
+            let reference = with_fanout(1, || mlgp_part::compute_matching(
+                &g, scheme, &cewgt, &mut seeded(seed ^ 21)));
             prop_assert!(reference.validate(&g).is_ok(), "{scheme:?}");
             prop_assert!(reference.is_maximal(&g), "{scheme:?} not maximal");
-            let (m, _) = mlgp_part::compute_matching_threads(
-                &g, scheme, &cewgt, &mut seeded(seed ^ 21), threads);
+            let m = with_fanout(threads, || mlgp_part::compute_matching(
+                &g, scheme, &cewgt, &mut seeded(seed ^ 21)));
             prop_assert_eq!(&m.partner, &reference.partner,
                 "{:?} differs at {} threads", scheme, threads);
         }
     }
 
     #[test]
-    fn contraction_invariants_hold_at_any_shard_count(
+    fn contraction_invariants_hold_under_any_pool(
         n in 4usize..120,
         extra in 0usize..180,
         seed in 0u64..500,
@@ -154,7 +155,8 @@ proptest! {
         // matched weight from the edge total (W(E_{i+1}) = W(E_i) − W(M_i),
         // with the collapsed weight accounted in cewgt); and emits a valid
         // CSR with sorted, self-loop-free, symmetric rows — independent of
-        // the shard count.
+        // the installed pool. (These graphs stay below the sharding floor;
+        // `contract.rs`'s unit tests force shard counts on random graphs.)
         let g = random_graph(n, extra, seed);
         let cewgt = vec![0; g.n()];
         let m = mlgp_part::compute_matching(
@@ -166,9 +168,9 @@ proptest! {
             })
             .sum();
         let (cmap, nc) = m.to_cmap();
-        let (reference, _) = mlgp_part::contract_threads(&g, &cmap, nc, &cewgt, 1);
-        let (c, _) = mlgp_part::contract_threads(&g, &cmap, nc, &cewgt, threads);
-        prop_assert_eq!(&c.graph, &reference.graph, "graph differs at {} shards", threads);
+        let reference = with_fanout(1, || mlgp_part::contract(&g, &cmap, nc, &cewgt));
+        let c = with_fanout(threads, || mlgp_part::contract(&g, &cmap, nc, &cewgt));
+        prop_assert_eq!(&c.graph, &reference.graph, "graph differs at {} threads", threads);
         prop_assert_eq!(&c.cewgt, &reference.cewgt);
         prop_assert_eq!(c.graph.total_vwgt(), g.total_vwgt());
         prop_assert_eq!(c.graph.total_adjwgt(), g.total_adjwgt() - matched_weight);

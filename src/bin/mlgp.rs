@@ -211,7 +211,6 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
             k,
             &MlConfig {
                 seed,
-                threads,
                 ..MlConfig::default()
             },
             &trace,
