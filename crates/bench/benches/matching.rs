@@ -1,22 +1,21 @@
 //! Criterion: the four matching schemes on mid-size FEM meshes (§3.1,
 //! the CTime column of Table 2 at kernel granularity).
 //!
-//! * `matching_8k_tet` — level 0 of a tetrahedral mesh, a few handshake
-//!   rounds deep;
-//! * `matching_8k_stiffness` — level 0 of a unit-weight 27-point grid, the
-//!   many-round regime (≈ 30 rounds);
+//! * `matching_8k_tet` — level 0 of a unit-weight tetrahedral mesh;
+//! * `matching_8k_stiffness` — level 0 of a unit-weight 27-point grid;
 //! * `matching_coarse_level1` — HEM on level 1 of that grid's `coarsen`
 //!   hierarchy, with the vertex and edge weights contraction produced;
 //! * `contract_hem_shards` — contracting a 28³ grid by its HEM matching
 //!   under pools of 1 and 2 threads. The coarse level keeps more than the
 //!   8192-vertex sharding floor, so the pool picks the kernel: one shard,
-//!   the direct build sorted by one transpose, against two shards, per-shard
-//!   sorted rows copied into place.
+//!   rows folded in place and sorted by one transpose, against two shards,
+//!   per-shard sorted rows copied into place.
 //!
-//! The matching kernel is serial: it follows best-candidate chains, which
-//! finds the handshake's matching and round count without running the
-//! rounds. Its candidate memo saves most in the many-round regime, where
-//! rescanning every unmatched vertex each round would read ≈ 13× nnz.
+//! The matching kernel is serial and computes the greedy matching under the
+//! edge key. On the two unit-weight level-0 groups HEM and LEM take the
+//! rank sweep, one read of each unmatched vertex's row; RM, HCM and the
+//! weighted coarse level take the chain walk, which follows best-candidate
+//! chains through a per-vertex candidate memo.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlgp_graph::generators::{stiffness3d, tet_mesh3d};

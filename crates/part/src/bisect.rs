@@ -168,29 +168,26 @@ pub(crate) fn bisect_targets_branch(
     );
     trace.stop(t, SPAN_INIT);
 
-    // Refine the coarsest-level partition, then uncoarsen level by level.
+    // Refine the coarsest-level partition, then uncoarsen level by level:
+    // each finer state is projected from the refined coarser one.
     let t = trace.start();
     let mut state = BisectState::new(h.coarsest(), coarse_part);
     refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, h.levels() - 1);
     trace.stop(t, SPAN_REFINE);
-    let (mut part, mut cut, mut pwgts) = (std::mem::take(&mut state.part), state.cut, state.pwgts);
-    drop(state);
     for level in (0..h.levels() - 1).rev() {
         let t = trace.start();
-        let fine_part = h.project(level, &part);
-        let mut state = BisectState::new(&h.graphs[level], fine_part);
+        state = BisectState::project(&h.graphs[level], &state, &h.cmaps[level]);
         trace.stop(t, SPAN_PROJECT);
         let t = trace.start();
         refine_level_recorded(&mut state, &bt, cfg, n, trace, branch, level);
         trace.stop(t, SPAN_REFINE);
-        (part, cut, pwgts) = (std::mem::take(&mut state.part), state.cut, state.pwgts);
     }
     // The last state refined is level 0's, the input graph itself, so its
     // cut and part weights are the result's.
     BisectionResult {
-        part,
-        cut,
-        pwgts,
+        cut: state.cut,
+        pwgts: state.pwgts,
+        part: state.part,
         levels: h.levels(),
     }
 }
@@ -200,7 +197,9 @@ mod tests {
     use super::*;
     use crate::config::{InitialPartitioning, MatchingScheme, RefinementPolicy};
     use crate::metrics::edge_cut_bisection;
-    use mlgp_graph::generators::{grid2d, lshape, powerlaw, tri_mesh2d};
+    use mlgp_graph::generators::{
+        grid2d, hierarchical_lp, lshape, powergrid, powerlaw, stiffness3d, tri_mesh2d,
+    };
 
     #[test]
     fn grid_bisection_near_optimal() {
@@ -354,5 +353,55 @@ mod tests {
             panic!("no finest-level refine event");
         };
         assert_eq!(*cut_after, r.cut as i64);
+    }
+
+    /// `BisectState::project` must equal a from-scratch state on the
+    /// projected partition, field by field, at every level of one
+    /// hierarchy per request class, starting from the refined partitions
+    /// the driver produces; the walk must end at the driver's result.
+    #[test]
+    fn projected_state_equals_a_fresh_build_at_every_level() {
+        let graphs = [
+            ("mesh2d", tri_mesh2d(45, 45, 3)),
+            ("stiffness3d", stiffness3d(12, 12, 12)),
+            ("power", powergrid(2000, 5)),
+            ("circuit", powerlaw(2000, 3, 7)),
+            ("lp", hierarchical_lp(14, 146, 9)),
+        ];
+        for (name, g) in &graphs {
+            let cfg = MlConfig::default();
+            let total = g.total_vwgt();
+            let target = [total / 2, total - total / 2];
+            let bt = BalanceTargets::new(target, cfg.imbalance);
+            let mut rng = seeded(cfg.seed);
+            let h = coarsen_traced(g, &cfg, &mut rng, &Trace::disabled());
+            assert!(h.levels() >= 3, "{name}: {} levels", h.levels());
+            let coarse_part = initial_partition_traced(
+                h.coarsest(),
+                &bt,
+                cfg.initial,
+                cfg.trials(),
+                &mut rng,
+                0,
+                &Trace::disabled(),
+            );
+            let mut state = BisectState::new(h.coarsest(), coarse_part);
+            refine_level_stats(&mut state, &bt, cfg.refinement, &cfg, g.n());
+            for level in (0..h.levels() - 1).rev() {
+                let projected = BisectState::project(&h.graphs[level], &state, &h.cmaps[level]);
+                let fresh = BisectState::new(&h.graphs[level], h.project(level, &state.part));
+                let ctx = format!("{name} level {level}");
+                assert_eq!(projected.part, fresh.part, "{ctx}");
+                assert_eq!(projected.ed, fresh.ed, "{ctx}");
+                assert_eq!(projected.id, fresh.id, "{ctx}");
+                assert_eq!(projected.pwgts, fresh.pwgts, "{ctx}");
+                assert_eq!(projected.cut, fresh.cut, "{ctx}");
+                state = projected;
+                refine_level_stats(&mut state, &bt, cfg.refinement, &cfg, g.n());
+            }
+            let r = bisect_targets(g, &cfg, target);
+            assert_eq!(state.part, r.part, "{name}");
+            assert_eq!((state.cut, state.pwgts), (r.cut, r.pwgts), "{name}");
+        }
     }
 }

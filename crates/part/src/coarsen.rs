@@ -56,9 +56,8 @@ pub fn coarsen<R: Rng>(g: &CsrGraph, cfg: &MlConfig, rng: &mut R) -> Hierarchy {
 }
 
 /// [`coarsen`] with kernel telemetry: records per-level kernel counters
-/// (`par_matching_rounds`, `par_matching_fallbacks`, `match_edges_scanned`,
-/// and contraction's shard count and per-shard entries) into `trace` when
-/// it is enabled. The hierarchy itself is identical to [`coarsen`]'s —
+/// (`match_edges_scanned`, and contraction's shard count and per-shard
+/// entries) into `trace` when it is enabled. The hierarchy itself is identical to [`coarsen`]'s —
 /// tracing never perturbs the result.
 pub fn coarsen_traced<R: Rng>(
     g: &CsrGraph,
@@ -84,8 +83,6 @@ pub fn coarsen_traced<R: Rng>(
         }
         let (c, cstats) = contract_threads(cur, &cmap, nc, &cewgt, 0);
         if trace.is_enabled() {
-            trace.count("par_matching_rounds", mstats.rounds as u64);
-            trace.count("par_matching_fallbacks", mstats.fallback as u64);
             trace.count("match_edges_scanned", mstats.edges_scanned);
             trace.count("par_contract_shards", cstats.shards as u64);
             for (i, &e) in cstats.entries.iter().enumerate() {

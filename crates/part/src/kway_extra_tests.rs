@@ -1,10 +1,16 @@
 //! Tests for the generic recursive k-way driver.
 
-use crate::bisect::bisect_targets;
+use crate::bisect::{bisect_targets, bisect_targets_branch};
 use crate::config::MlConfig;
 use crate::kway::{kway_partition, recursive_kway_with};
 use crate::metrics::{edge_cut_kway, part_weights};
-use mlgp_graph::generators::grid2d;
+use crate::refine::BalanceTargets;
+use mlgp_graph::generators::{
+    grid2d, hierarchical_lp, powergrid, powerlaw, stiffness3d, tri_mesh2d,
+};
+use mlgp_graph::CsrGraph;
+use mlgp_trace::Trace;
+use std::sync::Mutex;
 
 #[test]
 fn generic_driver_matches_builtin_kway() {
@@ -37,4 +43,56 @@ fn generic_driver_with_trivial_bisector_balances() {
     let w = part_weights(&g, &part, 8);
     assert!(w.iter().all(|&x| x == 32), "{w:?}");
     assert!(edge_cut_kway(&g, &part) > 0);
+}
+
+/// Every bisection inside `kway_partition` must end within its side bounds
+/// `BalanceTargets::ub` plus one heaviest vertex of the subgraph: one
+/// graph of each request class, scaled down for debug builds, at several
+/// part counts and seeds. The bisector is `kway_partition`'s own.
+#[test]
+fn every_kway_bisection_ends_within_its_bound() {
+    let graphs = [
+        ("mesh2d", tri_mesh2d(30, 30, 1)),
+        ("stiffness3d", stiffness3d(9, 9, 9)),
+        ("power", powergrid(1000, 2)),
+        ("circuit", powerlaw(1000, 2, 3)),
+        ("lp", hierarchical_lp(7, 146, 4)),
+    ];
+    let failures = Mutex::new(Vec::new());
+    let mut bisections = 0usize;
+    for (name, g) in &graphs {
+        for k in [3, 16, 64] {
+            for seed in 0..8 {
+                let cfg = MlConfig {
+                    seed,
+                    ..MlConfig::default()
+                };
+                let count = Mutex::new(0usize);
+                recursive_kway_with(g, k, &|sub: &CsrGraph, targets, salt| {
+                    let r = bisect_targets_branch(
+                        sub,
+                        &cfg.reseed(salt),
+                        targets,
+                        &Trace::disabled(),
+                        salt,
+                    );
+                    let ub = BalanceTargets::new(targets, cfg.imbalance).ub;
+                    let heaviest = sub.vwgt().iter().copied().max().unwrap_or(0);
+                    if (0..2).any(|s| r.pwgts[s] > ub[s] + heaviest) {
+                        let mut f = failures.lock().unwrap_or_else(|e| e.into_inner());
+                        f.push(format!(
+                            "{name} k={k} seed={seed} salt={salt}: {:?} over {ub:?} + {heaviest}",
+                            r.pwgts
+                        ));
+                    }
+                    *count.lock().unwrap_or_else(|e| e.into_inner()) += 1;
+                    r.part
+                });
+                bisections += count.into_inner().unwrap_or_else(|e| e.into_inner());
+            }
+        }
+    }
+    let failures = failures.into_inner().unwrap_or_else(|e| e.into_inner());
+    assert!(failures.is_empty(), "{failures:#?}");
+    assert!(bisections > 1000, "{bisections} bisections");
 }

@@ -7,8 +7,7 @@
 //! # Round-based parallel kernel (determinism contract)
 //!
 //! The sweep runs as synchronized *propose/commit rounds* over vertex-range
-//! shards, the structure of the local-max matching handshake that defines
-//! `matching.rs`'s matching:
+//! shards, the structure of a local-max matching handshake:
 //!
 //! 1. **Propose** — every boundary vertex computes, in parallel, its best
 //!    legal move against a *frozen* snapshot of the partition and part

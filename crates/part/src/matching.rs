@@ -19,36 +19,33 @@
 //! `rmin`/`rmax` are the smaller/larger of the two endpoints' ranks in a
 //! seeded random permutation. The key is *symmetric* (both endpoints
 //! compute the same key for the same edge) and *strict* (ranks are
-//! distinct). The matching is the one that *local-max handshake rounds*
-//! produce: each round, every unmatched vertex proposes to its best
-//! unmatched neighbor and mutual proposals match. Under a strict key that
-//! is exactly the greedy matching (take edges in descending key order
-//! while both ends are free): a mutual pair is the best edge left at both
-//! its ends, so greedy takes it too, whatever else is matched around it.
-//!
-//! The handshake's round count is part of the definition. A round bound
-//! guards pathological inputs (monotone weight chains match one pair a
-//! round); pairs the handshake would match after the bound are left to a
-//! sequential rank-order sweep that finishes the matching. The result is a
-//! pure function of `(graph, scheme, seed)`, whatever pool it runs in.
+//! distinct). The matching is the **greedy matching** under that key: take
+//! edges in descending key order while both ends are free. There are no
+//! rounds and no bound; the result is a pure function of
+//! `(graph, scheme, seed)`, whatever pool it runs in.
 //!
 //! # Chain following
 //!
-//! The kernel finds the handshake's matching without running its rounds.
+//! The general kernel finds the greedy matching without sorting the edges.
 //! It follows `v → best(v)` on a stack until two vertices are each other's
-//! best, matches them and backs up one step. To keep the round count, and
-//! the fallback, exact, it records each pair's handshake round
-//! `R(u, v) = 1 + max R` over the pairs of the neighbors `u` or `v`
-//! prefers to each other — the handshake proposes `u → v` exactly once all
-//! of those are matched. If the largest `R` reaches the bound, the pairs
-//! with `R` past it are undone and the sweep runs.
+//! best, matches them and backs up one step. Keys rise strictly along the
+//! walk, so it always ends at such a mutual pair, and a mutual pair is the
+//! best edge left at both its ends: greedy takes it too, whatever else is
+//! matched around it (DESIGN §10).
 //!
-//! The kernel is serial at every thread count because sharding the
-//! handshake rounds (propose/claim with compare-and-swap partner slots)
-//! does not pay: on a 2-vCPU x86-64 host they were only about 10 % faster
-//! on two threads than the chain walk on a 202k-vertex mesh, and the chain
-//! walk cut the two-thread `nd-order` benchmark's p50 latency by about a
-//! fifth (DESIGN §10).
+//! # Equal-weight levels: the rank sweep
+//!
+//! When every edge of a level has the same weight, HEM and LEM give every
+//! edge the same score, so keys compare by `(rmin, rmax)` alone and greedy
+//! takes edges in descending rank of their lower endpoint. The rank sweep
+//! visits vertices in descending rank and matches each unmatched vertex to
+//! its highest-ranked unmatched neighbor ranked above it. When the sweep
+//! reaches `v`, greedy has decided exactly the edges whose lower endpoint
+//! ranks above `v` (the vertices already swept), and `v`'s own edges as
+//! the lower endpoint come next, best `rmax` first: the sweep takes the
+//! same edge greedy does. It reads each unmatched vertex's row once and
+//! needs neither the memo nor any keys. Level 0 of a unit-weight input
+//! always takes it; RM, HCM and weighted levels take the chain walk.
 //!
 //! # Cost: the candidate memo
 //!
@@ -60,8 +57,7 @@
 //! already matched. A vertex rescans its adjacency only when every
 //! remembered candidate has been matched, and has no best without a
 //! rescan when its last scan saw no unmatched neighbor beyond the memo.
-//! The kernel reads about 1× nnz in rescans, plus one pass over each
-//! matched pair's two adjacency lists to find its round.
+//! The chain walk reads about 1× nnz in rescans.
 
 use crate::config::MatchingScheme;
 use mlgp_graph::rng::random_order;
@@ -80,15 +76,15 @@ pub struct Matching {
 /// Telemetry from one run of the matching kernel.
 #[derive(Clone, Debug, Default)]
 pub struct MatchStats {
-    /// Handshake rounds the matching corresponds to (0 for the empty
-    /// graph), capped at the round bound.
+    /// Unmeasured, always 0: the kernel runs no handshake rounds. Kept only
+    /// while the benchmark's traced run still reads it.
     pub rounds: usize,
-    /// Whether the round bound tripped and the sequential sweep finished
-    /// the matching.
+    /// Unmeasured, always `false`: there is no round bound to fall back
+    /// from. Kept for the same reason as `rounds`.
     pub fallback: bool,
-    /// Adjacency entries read by full rescans. Candidates answered from a
-    /// vertex's memo read no adjacency and are not counted, nor is the pass
-    /// that recovers each pair's round.
+    /// Adjacency entries read: the chain walk's full rescans, or the rows
+    /// the rank sweep reads. Candidates answered from a vertex's memo read
+    /// no adjacency and are not counted.
     pub edges_scanned: u64,
 }
 
@@ -162,11 +158,6 @@ const NONE: u32 = u32::MAX;
 /// Candidates remembered per vertex.
 const MEMO_K: usize = 4;
 
-/// Hard bound on handshake rounds before the sequential sweep takes over.
-fn max_rounds(n: usize) -> usize {
-    2 * usize::BITS.saturating_sub(n.leading_zeros()) as usize + 8
-}
-
 /// Compute a maximal matching with the given scheme.
 ///
 /// `cewgt[v]` is the total weight of edges already contracted inside
@@ -189,6 +180,19 @@ pub fn compute_matching_threads<R: Rng>(
     rng: &mut R,
     _threads: usize,
 ) -> (Matching, MatchStats) {
+    greedy_matching(g, scheme, cewgt, rng, true)
+}
+
+/// The greedy matching under the edge key. Equal-score levels take the
+/// rank sweep when `rank_sweep` is set, every other level the chain walk;
+/// both give the same matching (module docs).
+fn greedy_matching<R: Rng>(
+    g: &CsrGraph,
+    scheme: MatchingScheme,
+    cewgt: &[Wgt],
+    rng: &mut R,
+    rank_sweep: bool,
+) -> (Matching, MatchStats) {
     let n = g.n();
     assert_eq!(cewgt.len(), n);
     // Seeded inputs: a rank permutation (tie-breaking) and a salt (RM's
@@ -199,40 +203,77 @@ pub fn compute_matching_threads<R: Rng>(
     for (i, &v) in order.iter().enumerate() {
         rank[v as usize] = i as u32;
     }
-    let score = Scorer {
-        scheme,
-        salt,
-        g,
-        cewgt,
-    };
     let mut partner: Vec<Vid> = (0..n as Vid).collect();
-    let stats = chain_matching(g, &order, &mut partner, &rank, &score);
+    let edges_scanned = if rank_sweep && equal_scores(g, scheme) {
+        sweep_by_rank(g, &order, &mut partner, &mut rank)
+    } else {
+        let score = Scorer {
+            scheme,
+            salt,
+            g,
+            cewgt,
+        };
+        chain_matching(g, &mut partner, &rank, &score)
+    };
     let pairs = (0..n as Vid).filter(|&v| partner[v as usize] > v).count();
+    let stats = MatchStats {
+        edges_scanned,
+        ..MatchStats::default()
+    };
     (Matching { partner, pairs }, stats)
 }
 
-/// The kernel: the handshake's matching, found by following
-/// best-candidate chains (module docs, "Chain following").
-///
-/// From each unmatched vertex it walks `v → best(v)` on a stack; keys rise
-/// strictly along the walk, so it ends at two vertices that are each
-/// other's best, which the handshake would match too. That pair commits,
-/// the walk backs up one step and the vertex below re-reads its memo. Each
-/// pair records the handshake round that would have matched it; if that
-/// reaches the round bound, the pairs past it are undone and the
-/// sequential sweep finishes, exactly as the handshake would.
-fn chain_matching(
-    g: &CsrGraph,
-    order: &[Vid],
-    partner: &mut [Vid],
-    rank: &[u32],
-    score: &Scorer<'_>,
-) -> MatchStats {
+/// Whether every edge of `g` scores the same under `scheme`: HEM or LEM on
+/// a level whose edge weights are all equal.
+fn equal_scores(g: &CsrGraph, scheme: MatchingScheme) -> bool {
+    matches!(
+        scheme,
+        MatchingScheme::HeavyEdge | MatchingScheme::LightEdge
+    ) && g
+        .adjwgt()
+        .split_first()
+        .is_none_or(|(w0, rest)| rest.iter().all(|w| w == w0))
+}
+
+/// The rank sweep (module docs, "Equal-weight levels"): vertices in
+/// descending rank, each unmatched one matched to its highest-ranked
+/// unmatched neighbor ranked above it. `rank` is consumed as scratch: a
+/// matched vertex's entry drops to 0, below every vertex that can still
+/// look for it, so one read per entry tests both rank and availability.
+/// Returns the adjacency entries read.
+fn sweep_by_rank(g: &CsrGraph, order: &[Vid], partner: &mut [Vid], rank: &mut [u32]) -> u64 {
+    let mut scanned = 0u64;
+    for &v in order.iter().rev() {
+        if partner[v as usize] != v {
+            continue;
+        }
+        let (mut best, mut best_rank) = (v, rank[v as usize]);
+        for &u in g.neighbors(v) {
+            let ru = rank[u as usize];
+            if ru > best_rank {
+                (best, best_rank) = (u, ru);
+            }
+        }
+        scanned += g.degree(v) as u64;
+        if best != v {
+            partner[v as usize] = best;
+            partner[best as usize] = v;
+            rank[v as usize] = 0;
+            rank[best as usize] = 0;
+        }
+    }
+    scanned
+}
+
+/// The chain walk (module docs, "Chain following"). From each unmatched
+/// vertex it walks `v → best(v)` on a stack; keys rise strictly along the
+/// walk, so it ends at two vertices that are each other's best, which
+/// greedy matches too. That pair commits, the walk backs up one step and
+/// the vertex below re-reads its memo. Returns the adjacency entries read
+/// by full rescans.
+fn chain_matching(g: &CsrGraph, partner: &mut [Vid], rank: &[u32], score: &Scorer<'_>) -> u64 {
     let n = g.n();
     let mut memo = vec![Memo::UNSCANNED; n];
-    // Handshake round of each matched vertex's pair; 0 while unmatched.
-    let mut round = vec![0u32; n];
-    let mut max_round = 0u32;
     let mut stack: Vec<Vid> = Vec::new();
     let mut scanned = 0u64;
     for s in 0..n as Vid {
@@ -249,10 +290,6 @@ fn chain_matching(
                 // `b` pushed `v` as its best, and nothing has been matched
                 // since, so the two are mutual.
                 stack.truncate(stack.len() - 2);
-                let r = handshake_round(g, v, b, &round, rank, score);
-                round[v as usize] = r;
-                round[b as usize] = r;
-                max_round = max_round.max(r);
                 partner[v as usize] = b;
                 partner[b as usize] = v;
             } else {
@@ -260,62 +297,7 @@ fn chain_matching(
             }
         }
     }
-    let mut stats = MatchStats {
-        rounds: max_round as usize,
-        fallback: false,
-        edges_scanned: scanned,
-    };
-    let bound = max_rounds(n);
-    if stats.rounds >= bound {
-        // The handshake stops after round `bound`: keep only the pairs it
-        // had matched by then and let the sweep finish.
-        for v in 0..n as Vid {
-            if round[v as usize] as usize > bound {
-                partner[v as usize] = v;
-            }
-        }
-        sequential_sweep(g, order, partner, rank, score);
-        stats.rounds = bound;
-        stats.fallback = true;
-    }
-    stats
-}
-
-/// The handshake round that matches `(u, v)`, given the rounds of every
-/// pair matched before it: one past the latest round among the pairs of
-/// the neighbors that `u` or `v` prefers to each other. Those neighbors are
-/// all matched already (else `(u, v)` would not be mutual), and until each
-/// one is, `u` or `v` proposes elsewhere.
-fn handshake_round(
-    g: &CsrGraph,
-    u: Vid,
-    v: Vid,
-    round: &[u32],
-    rank: &[u32],
-    score: &Scorer<'_>,
-) -> u32 {
-    let (a, b) = if g.degree(u) <= g.degree(v) {
-        (u, v)
-    } else {
-        (v, u)
-    };
-    let w = g
-        .adj(a)
-        .find_map(|(x, w)| (x == b).then_some(w))
-        .unwrap_or_default();
-    let key = edge_key(rank, score.score(a, b, w), a, b);
-    let mut r = 0;
-    for x in [a, b] {
-        for (z, w) in g.adj(x) {
-            // Unmatched vertices, `a` and `b` included, hold round 0 and
-            // never pass the first test.
-            let rz = round[z as usize];
-            if rz > r && edge_key(rank, score.score(x, z, w), x, z) > key {
-                r = rz;
-            }
-        }
-    }
-    r + 1
+    scanned
 }
 
 /// One vertex's best unmatched neighbors as of its last full scan, in
@@ -368,7 +350,7 @@ impl Memo {
             return NONE;
         }
         *scanned += g.degree(v) as u64;
-        let (cand, more) = top_candidates::<MEMO_K>(g, v, partner, rank, score);
+        let (cand, more) = top_candidates(g, v, partner, rank, score);
         self.cand = cand;
         self.cursor = if more { MORE } else { 0 };
         cand[0]
@@ -440,33 +422,33 @@ fn edge_key(rank: &[u32], score: f64, v: Vid, u: Vid) -> u128 {
     (ordered as u128) << 64 | (rv.min(ru) as u128) << 32 | rv.max(ru) as u128
 }
 
-/// The up-to-`K` best unmatched neighbors of `v` under the edge key, in
+/// The up-to-`MEMO_K` best unmatched neighbors of `v` under the edge key, in
 /// descending key order and `NONE`-padded, and whether `v` has more
 /// unmatched neighbors than that.
 #[inline]
-fn top_candidates<const K: usize>(
+fn top_candidates(
     g: &CsrGraph,
     v: Vid,
     partner: &[Vid],
     rank: &[u32],
     score: &Scorer<'_>,
-) -> ([Vid; K], bool) {
+) -> ([Vid; MEMO_K], bool) {
     // Every edge key is above 0 (its score half is nonzero), so 0 marks
     // an empty slot.
-    let mut keys = [0u128; K];
-    let mut ids = [NONE; K];
+    let mut keys = [0u128; MEMO_K];
+    let mut ids = [NONE; MEMO_K];
     let mut more = false;
     for (u, w) in g.adj(v) {
         if partner[u as usize] != u {
             continue;
         }
         let key = edge_key(rank, score.score(v, u, w), v, u);
-        if key <= keys[K - 1] {
+        if key <= keys[MEMO_K - 1] {
             more = true;
             continue;
         }
-        more |= keys[K - 1] != 0;
-        let mut j = K - 1;
+        more |= keys[MEMO_K - 1] != 0;
+        let mut j = MEMO_K - 1;
         while j > 0 && keys[j - 1] < key {
             keys[j] = keys[j - 1];
             ids[j] = ids[j - 1];
@@ -476,28 +458,6 @@ fn top_candidates<const K: usize>(
         ids[j] = u;
     }
     (ids, more)
-}
-
-/// Deterministic sequential finisher: greedy sweep in rank order, matching
-/// each still-unmatched vertex with its best available neighbor. It
-/// restores maximality when the round bound cuts the handshake short.
-fn sequential_sweep(
-    g: &CsrGraph,
-    order: &[Vid],
-    partner: &mut [Vid],
-    rank: &[u32],
-    score: &Scorer<'_>,
-) {
-    for &v in order {
-        if partner[v as usize] != v {
-            continue;
-        }
-        let u = top_candidates::<1>(g, v, partner, rank, score).0[0];
-        if u != NONE {
-            partner[v as usize] = u;
-            partner[u as usize] = v;
-        }
-    }
 }
 
 #[cfg(test)]
@@ -511,19 +471,10 @@ mod tests {
     use mlgp_graph::GraphBuilder;
     use mlgp_linalg::with_fanout;
 
-    /// Local-max handshake rounds, run serially as an oracle: every round
-    /// re-reads every active vertex's whole adjacency and compares edges
-    /// by the `(score, rmin, rmax)` tuple. Returns the
-    /// matching, the round count and whether the sweep ran.
-    fn reference_matching(
-        g: &CsrGraph,
-        scheme: MatchingScheme,
-        cewgt: &[Wgt],
-        seed: u64,
-    ) -> (Matching, usize, bool) {
-        fn key_gt(a: (f64, u32, u32), b: (f64, u32, u32)) -> bool {
-            a.0 > b.0 || (a.0 == b.0 && (a.1 > b.1 || (a.1 == b.1 && a.2 > b.2)))
-        }
+    /// The greedy matching by definition, as an oracle: every edge sorted
+    /// by its `(score, rmin, rmax)` key, descending, and taken when both
+    /// ends are free. The seeded inputs are drawn as the kernel draws them.
+    fn greedy_oracle(g: &CsrGraph, scheme: MatchingScheme, cewgt: &[Wgt], seed: u64) -> Matching {
         let rng = &mut seeded(seed);
         let n = g.n();
         let order = random_order(rng, n);
@@ -538,67 +489,27 @@ mod tests {
             g,
             cewgt,
         };
-        let best = |partner: &[Vid], v: Vid| -> Vid {
-            let mut best: Option<((f64, u32, u32), Vid)> = None;
-            for (u, w) in g.adj(v) {
-                if partner[u as usize] != u {
-                    continue;
-                }
-                let (rv, ru) = (rank[v as usize], rank[u as usize]);
-                let key = (score.score(v, u, w), rv.min(ru), rv.max(ru));
-                if best.is_none_or(|(bk, _)| key_gt(key, bk)) {
-                    best = Some((key, u));
-                }
-            }
-            best.map_or(NONE, |(_, u)| u)
-        };
-        let mut partner: Vec<Vid> = (0..n as Vid).collect();
-        let mut proposal = vec![NONE; n];
-        let mut active: Vec<Vid> = (0..n as Vid).collect();
-        let (mut rounds, mut fallback) = (0, false);
-        loop {
-            active.retain(|&v| {
-                let u = if partner[v as usize] != v {
-                    NONE
-                } else {
-                    best(&partner, v)
-                };
-                proposal[v as usize] = u;
-                u != NONE
-            });
-            if active.is_empty() {
-                break;
-            }
-            let mut pairs = 0;
-            for &v in &active {
-                let u = proposal[v as usize];
-                if u != NONE && u > v && proposal[u as usize] == v {
-                    partner[v as usize] = u;
-                    partner[u as usize] = v;
-                    pairs += 1;
-                }
-            }
-            rounds += 1;
-            if rounds >= max_rounds(n) || pairs == 0 {
-                for &v in &order {
-                    if partner[v as usize] == v {
-                        let u = best(&partner, v);
-                        if u != NONE {
-                            partner[v as usize] = u;
-                            partner[u as usize] = v;
-                        }
-                    }
-                }
-                fallback = true;
-                break;
+        let mut edges: Vec<(u128, Vid, Vid)> = Vec::new();
+        for v in 0..n as Vid {
+            for (u, w) in g.adj(v).filter(|&(u, _)| u > v) {
+                edges.push((edge_key(&rank, score.score(v, u, w), v, u), v, u));
             }
         }
-        let pairs = (0..n as Vid).filter(|&v| partner[v as usize] > v).count();
-        (Matching { partner, pairs }, rounds, fallback)
+        edges.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+        let mut partner: Vec<Vid> = (0..n as Vid).collect();
+        let mut pairs = 0;
+        for (_, v, u) in edges {
+            if partner[v as usize] == v && partner[u as usize] == u {
+                partner[v as usize] = u;
+                partner[u as usize] = v;
+                pairs += 1;
+            }
+        }
+        Matching { partner, pairs }
     }
 
-    /// A monotone-weight path: every vertex proposes toward the heavy end,
-    /// so each handshake round matches exactly one pair.
+    /// A monotone-weight path: every vertex's best neighbor lies toward
+    /// the heavy end, so greedy matches it from that end down.
     fn monotone_chain(n: u32) -> CsrGraph {
         let mut b = GraphBuilder::new(n as usize);
         for v in 0..n - 1 {
@@ -623,12 +534,13 @@ mod tests {
         (g, cewgt)
     }
 
-    /// The chain-following kernel must reproduce the oracle's matching,
-    /// round count and fallback on one graph of every request class, a
-    /// coarse HCM level, and chains at and around the round bound.
+    /// The kernel must return the sorted-greedy oracle's matching on one
+    /// graph of every request class, a coarse HCM level and monotone
+    /// chains, for every scheme and several seeds. The unit-weight classes
+    /// send HEM and LEM through the rank sweep, the rest through the chain
+    /// walk.
     #[test]
-    fn kernels_match_full_rescan_oracle() {
-        let zero = |g: &CsrGraph| vec![0; g.n()];
+    fn kernel_equals_sorted_greedy_oracle() {
         let hubs = powerlaw(1500, 3, 11);
         assert!(hubs.max_degree() > 4 * MEMO_K);
         let mut cases: Vec<(&str, CsrGraph, Vec<Wgt>)> = vec![
@@ -638,39 +550,53 @@ mod tests {
             ("powerlaw", hubs, Vec::new()),
             ("hierarchical_lp", hierarchical_lp(8, 146, 8), Vec::new()),
             ("monotone chain", monotone_chain(600), Vec::new()),
-            // HEM matches these one pair a round, for n/2 rounds against a
-            // bound of 20: one short of it, exactly at it, one past it.
-            ("chain of 38", monotone_chain(38), Vec::new()),
-            ("chain of 40", monotone_chain(40), Vec::new()),
-            ("chain of 42", monotone_chain(42), Vec::new()),
+            ("chain of 41", monotone_chain(41), Vec::new()),
         ];
         let (coarse, cewgt) = hcm_coarse_level();
         cases.push(("hcm coarse level", coarse, cewgt));
         for (name, g, cewgt) in &mut cases {
             if cewgt.is_empty() {
-                *cewgt = zero(g);
+                *cewgt = vec![0; g.n()];
             }
             for scheme in MatchingScheme::all() {
                 for seed in [1, 7, 40] {
-                    let (want, rounds, fallback) = reference_matching(g, scheme, cewgt, seed);
-                    if scheme == MatchingScheme::HeavyEdge {
-                        let at_bound = match *name {
-                            "monotone chain" => Some((28, true)),
-                            "chain of 38" => Some((19, false)),
-                            "chain of 40" | "chain of 42" => Some((20, true)),
-                            _ => None,
-                        };
-                        if let Some(want_stats) = at_bound {
-                            assert_eq!((rounds, fallback), want_stats, "{name}");
-                        }
-                    }
+                    let want = greedy_oracle(g, scheme, cewgt, seed);
                     let ctx = format!("{name} {scheme:?} seed {seed}");
                     let (got, st) =
                         compute_matching_threads(g, scheme, cewgt, &mut seeded(seed), 0);
                     assert_eq!(got.partner, want.partner, "{ctx}");
                     assert_eq!(got.pairs, want.pairs, "{ctx}");
-                    assert_eq!(st.rounds, rounds, "{ctx}");
-                    assert_eq!(st.fallback, fallback, "{ctx}");
+                    assert_eq!((st.rounds, st.fallback), (0, false), "{ctx}");
+                    assert!(got.is_maximal(g), "{ctx}");
+                }
+            }
+        }
+    }
+
+    /// On unit-weight levels the rank sweep and the chain walk must return
+    /// the same partner array for HEM and LEM.
+    #[test]
+    fn rank_sweep_equals_chain_walk_on_unit_weight_levels() {
+        let cases = [
+            ("grid2d", grid2d(41, 37)),
+            ("tri_mesh2d", tri_mesh2d(30, 26, 3)),
+            ("tet_mesh3d", tet_mesh3d(9, 8, 7, 2)),
+            ("stiffness3d", stiffness3d(10, 9, 8)),
+            ("powerlaw", powerlaw(2500, 3, 9)),
+        ];
+        for (name, g) in &cases {
+            let cewgt = vec![0; g.n()];
+            for scheme in [MatchingScheme::HeavyEdge, MatchingScheme::LightEdge] {
+                assert!(equal_scores(g, scheme), "{name} is not unit-weight");
+                for seed in 0..4 {
+                    let ctx = format!("{name} {scheme:?} seed {seed}");
+                    let (sweep, ss) = greedy_matching(g, scheme, &cewgt, &mut seeded(seed), true);
+                    let (chain, cs) = greedy_matching(g, scheme, &cewgt, &mut seeded(seed), false);
+                    assert_eq!(sweep.partner, chain.partner, "{ctx}");
+                    assert_eq!(sweep.pairs, chain.pairs, "{ctx}");
+                    // The sweep reads each row at most once.
+                    assert!(ss.edges_scanned <= g.nnz() as u64, "{ctx}");
+                    assert!(cs.edges_scanned >= ss.edges_scanned, "{ctx}");
                 }
             }
         }
@@ -680,11 +606,10 @@ mod tests {
     fn memo_bounds_scan_work_on_stiffness_grids() {
         // Handshake rounds that rescanned every active vertex each round
         // read ≈ 13× nnz here (30+ rounds with a slowly shrinking active
-        // set); the memo must keep the kernel under 4×.
+        // set); the chain walk's memo must keep it under 4×.
         let g = stiffness3d(20, 20, 20);
         let cewgt = vec![0; g.n()];
-        let (_, st) =
-            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(3), 0);
+        let (_, st) = greedy_matching(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(3), false);
         let scanned = st.edges_scanned;
         assert!(
             scanned <= 4 * g.nnz() as u64,
@@ -826,10 +751,10 @@ mod tests {
     }
 
     #[test]
-    fn round_bound_fallback_still_maximal_and_deterministic() {
-        // Monotone-weight path: every vertex proposes toward the heavy end,
-        // so each handshake round matches exactly one pair — the worst case
-        // that trips the round bound and exercises the sequential sweep.
+    fn monotone_chain_matches_greedily_from_the_heavy_end() {
+        // Every vertex prefers its heavier edge, so greedy takes the
+        // heaviest edge, then the heaviest one left, and so on: the pairs
+        // (2i, 2i+1) of an even-length chain, at every pool size.
         let g = monotone_chain(600);
         let cewgt = vec![0; g.n()];
         let run = |threads: usize| {
@@ -837,23 +762,27 @@ mod tests {
                 compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(2), 0)
             })
         };
-        let ((m1, s1), (m4, s4)) = (run(1), run(4));
-        assert!(
-            s1.fallback && s4.fallback,
-            "expected the round bound to trip"
-        );
-        assert_eq!(m1.partner, m4.partner);
+        let ((m1, s1), (m4, _)) = (run(1), run(4));
+        let want: Vec<Vid> = (0..600).map(|v| v ^ 1).collect();
+        assert_eq!(m1.partner, want);
+        assert_eq!(m4.partner, want);
+        assert_eq!((s1.rounds, s1.fallback), (0, false));
         m1.validate(&g).unwrap();
         assert!(m1.is_maximal(&g));
     }
 
     #[test]
     fn stats_report_scanning_work() {
+        // The chain walk scans every row at least once on a grid; the rank
+        // sweep reads only the rows of vertices still unmatched at their
+        // turn, at least one of every pair.
         let g = grid2d(40, 40);
         let cewgt = vec![0; g.n()];
-        let (_, st) =
-            compute_matching_threads(&g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(1), 0);
-        assert!(st.rounds >= 1);
-        assert!(st.edges_scanned >= g.nnz() as u64);
+        let scheme = MatchingScheme::HeavyEdge;
+        let (_, chain) = greedy_matching(&g, scheme, &cewgt, &mut seeded(1), false);
+        assert!(chain.edges_scanned >= g.nnz() as u64);
+        let (m, sweep) = compute_matching_threads(&g, scheme, &cewgt, &mut seeded(1), 0);
+        assert!(sweep.edges_scanned <= g.nnz() as u64);
+        assert!(sweep.edges_scanned >= 2 * m.pairs as u64);
     }
 }

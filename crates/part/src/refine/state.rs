@@ -12,7 +12,21 @@
 //! each shard computes its vertices' degrees and its partial part weights
 //! and cut, and the partials are combined in shard order, so the state is
 //! bit-identical at every shard count. A smaller graph, or a one-thread
-//! pool, takes the serial build.
+//! pool, runs the one shard inline.
+//!
+//! # Projection
+//!
+//! Uncoarsening builds each finer level's state from the coarser one with
+//! [`BisectState::project`] instead of from scratch. Contraction keeps
+//! vertex weights and the cut, so `pwgts` and `cut` carry over. A vertex
+//! whose coarse vertex had no external degree has no cut edge either:
+//! each of its neighbors lies in that same coarse vertex or in one of its
+//! coarse neighbors, and every coarse neighbor is on the same side
+//! (edge weights are positive, which `CsrGraph::validate` requires). Such
+//! a vertex gets `ed = 0` and `id` = its weighted degree without reading
+//! its neighbors' sides; only the vertices of coarse boundary vertices
+//! scan them. The result equals [`BisectState::new`] on the projected
+//! partition, field by field.
 
 use crate::shards::{shard_bounds, shard_count, MIN_PARALLEL_N};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
@@ -39,66 +53,23 @@ impl<'g> BisectState<'g> {
     /// sharded over the installed pool above the size floor.
     pub fn new(g: &'g CsrGraph, part: Vec<u8>) -> Self {
         assert_eq!(part.len(), g.n());
-        let n = g.n();
-        let nshards = shard_count(n);
-        if nshards <= 1 {
-            return Self::build_serial(g, part);
-        }
-        struct Shard {
-            lo: usize,
-            hi: usize,
-            ed: Vec<Wgt>,
-            id: Vec<Wgt>,
-            pwgts: [Wgt; 2],
-            cut: Wgt,
-        }
-        let part_ro: &[u8] = &part;
-        let mut shards: Vec<Shard> = shard_bounds(n, nshards)
-            .into_iter()
-            .map(|(lo, hi)| Shard {
-                lo,
-                hi,
-                ed: Vec::with_capacity(hi - lo),
-                id: Vec::with_capacity(hi - lo),
-                pwgts: [0, 0],
-                cut: 0,
-            })
-            .collect();
-        shards
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(_, sh)| {
-                for v in sh.lo..sh.hi {
-                    let pv = part_ro[v];
-                    debug_assert!(pv <= 1);
-                    sh.pwgts[pv as usize] += g.vwgt()[v];
-                    let (mut ed_v, mut id_v) = (0, 0);
-                    for (u, w) in g.adj(v as Vid) {
-                        if part_ro[u as usize] == pv {
-                            id_v += w;
-                        } else {
-                            ed_v += w;
-                            if u as usize > v {
-                                sh.cut += w;
-                            }
-                        }
+        let (ed, id, pwgts, cut) = sharded_degrees(g.n(), |v, pwgts, cut| {
+            let pv = part[v];
+            debug_assert!(pv <= 1);
+            pwgts[pv as usize] += g.vwgt()[v];
+            let (mut ed_v, mut id_v) = (0, 0);
+            for (u, w) in g.adj(v as Vid) {
+                if part[u as usize] == pv {
+                    id_v += w;
+                } else {
+                    ed_v += w;
+                    if u as usize > v {
+                        *cut += w;
                     }
-                    sh.ed.push(ed_v);
-                    sh.id.push(id_v);
                 }
-            });
-        let mut ed = Vec::with_capacity(n);
-        let mut id = Vec::with_capacity(n);
-        let mut pwgts = [0, 0];
-        let mut cut = 0;
-        for sh in &mut shards {
-            ed.append(&mut sh.ed);
-            id.append(&mut sh.id);
-            pwgts[0] += sh.pwgts[0];
-            pwgts[1] += sh.pwgts[1];
-            cut += sh.cut;
-        }
+            }
+            (ed_v, id_v)
+        });
         Self {
             g,
             part,
@@ -115,35 +86,40 @@ impl<'g> BisectState<'g> {
         Self::new(g, part)
     }
 
-    /// Serial construction (the single-shard fast path).
-    fn build_serial(g: &'g CsrGraph, part: Vec<u8>) -> Self {
-        let n = g.n();
-        let mut pwgts = [0, 0];
-        let mut ed = vec![0; n];
-        let mut id = vec![0; n];
-        let mut cut = 0;
-        for v in 0..n {
+    /// The state of `fine` under the projection of `coarse`'s partition
+    /// through `cmap` (fine vertex → coarse vertex), equal to
+    /// `BisectState::new` on that partition but reading the neighbors'
+    /// sides only for vertices of coarse boundary vertices (module docs,
+    /// "Projection"). `coarse` must be consistent (see [`Self::consistent`]).
+    pub fn project(fine: &'g CsrGraph, coarse: &BisectState<'_>, cmap: &[Vid]) -> Self {
+        assert_eq!(cmap.len(), fine.n());
+        let mut part = vec![0u8; fine.n()];
+        part.par_iter_mut()
+            .enumerate()
+            .with_min_len(MIN_PARALLEL_N)
+            .for_each(|(v, slot)| *slot = coarse.part[cmap[v] as usize]);
+        let (ed, id, _, _) = sharded_degrees(fine.n(), |v, _, _| {
+            if coarse.ed[cmap[v] as usize] == 0 {
+                return (0, fine.edge_weights(v as Vid).iter().sum());
+            }
             let pv = part[v];
-            debug_assert!(pv <= 1);
-            pwgts[pv as usize] += g.vwgt()[v];
-            for (u, w) in g.adj(v as Vid) {
+            let (mut ed_v, mut id_v) = (0, 0);
+            for (u, w) in fine.adj(v as Vid) {
                 if part[u as usize] == pv {
-                    id[v] += w;
+                    id_v += w;
                 } else {
-                    ed[v] += w;
-                    if u as usize > v {
-                        cut += w;
-                    }
+                    ed_v += w;
                 }
             }
-        }
+            (ed_v, id_v)
+        });
         Self {
-            g,
+            g: fine,
             part,
-            pwgts,
+            pwgts: coarse.pwgts,
             ed,
             id,
-            cut,
+            cut: coarse.cut,
         }
     }
 
@@ -230,6 +206,69 @@ impl<'g> BisectState<'g> {
     }
 }
 
+/// Per-vertex `(ed, id)` of `n` vertices from `vertex(v, pwgts, cut)`,
+/// which may also add to its shard's partial part weights and cut. Above
+/// the size floor the vertex range is cut into one contiguous shard per
+/// pool thread; degrees are concatenated and partials summed in shard
+/// order, so the result is the same at every shard count.
+fn sharded_degrees<F>(n: usize, vertex: F) -> (Vec<Wgt>, Vec<Wgt>, [Wgt; 2], Wgt)
+where
+    F: Fn(usize, &mut [Wgt; 2], &mut Wgt) -> (Wgt, Wgt) + Sync,
+{
+    struct Shard {
+        lo: usize,
+        hi: usize,
+        ed: Vec<Wgt>,
+        id: Vec<Wgt>,
+        pwgts: [Wgt; 2],
+        cut: Wgt,
+    }
+    let run = |sh: &mut Shard| {
+        for v in sh.lo..sh.hi {
+            let (ed_v, id_v) = vertex(v, &mut sh.pwgts, &mut sh.cut);
+            sh.ed.push(ed_v);
+            sh.id.push(id_v);
+        }
+    };
+    let mut shards: Vec<Shard> = shard_bounds(n, shard_count(n))
+        .into_iter()
+        .map(|(lo, hi)| Shard {
+            lo,
+            hi,
+            ed: Vec::with_capacity(hi - lo),
+            id: Vec::with_capacity(hi - lo),
+            pwgts: [0, 0],
+            cut: 0,
+        })
+        .collect();
+    if let [one] = &mut shards[..] {
+        run(one);
+        return (
+            std::mem::take(&mut one.ed),
+            std::mem::take(&mut one.id),
+            one.pwgts,
+            one.cut,
+        );
+    }
+    shards
+        .par_iter_mut()
+        .enumerate()
+        .with_min_len(1)
+        .for_each(|(_, sh)| run(sh));
+    let mut ed = Vec::with_capacity(n);
+    let mut id = Vec::with_capacity(n);
+    let mut pwgts = [0, 0];
+    let mut cut = 0;
+    for sh in &mut shards {
+        ed.append(&mut sh.ed);
+        id.append(&mut sh.id);
+        pwgts[0] += sh.pwgts[0];
+        pwgts[1] += sh.pwgts[1];
+        cut += sh.cut;
+    }
+    (ed, id, pwgts, cut)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -241,7 +280,7 @@ mod tests {
     fn sharded_build_matches_serial_build() {
         for g in [tri_mesh2d(30, 24, 5), powerlaw(2000, 3, 4)] {
             let part: Vec<u8> = (0..g.n()).map(|v| ((v * 7 / 5) % 2) as u8).collect();
-            let serial = BisectState::build_serial(&g, part.clone());
+            let serial = with_shards(1, || BisectState::new(&g, part.clone()));
             for shards in shard_counts() {
                 let s = with_shards(shards, || BisectState::new(&g, part.clone()));
                 assert_eq!(s.cut, serial.cut, "{shards} shards");
@@ -249,6 +288,33 @@ mod tests {
                 assert_eq!(s.ed, serial.ed, "{shards} shards");
                 assert_eq!(s.id, serial.id, "{shards} shards");
             }
+        }
+    }
+
+    #[test]
+    fn projection_matches_a_fresh_build_at_every_shard_count() {
+        // A coarse level by an arbitrary three-way merge map, a striped
+        // partition (long boundaries, interior vertices on both sides), and
+        // every shard count.
+        let g = tri_mesh2d(40, 30, 2);
+        let nc = g.n() / 3;
+        let cmap: Vec<Vid> = (0..g.n() as Vid).map(|v| v / 3 % nc as Vid).collect();
+        let coarse_g = crate::contract::contract(&g, &cmap, nc, &vec![0; g.n()]).graph;
+        let cpart: Vec<u8> = (0..nc).map(|c| (c / 40 % 2) as u8).collect();
+        let coarse = BisectState::new(&coarse_g, cpart.clone());
+        let fine_part: Vec<u8> = cmap.iter().map(|&c| cpart[c as usize]).collect();
+        let fresh = BisectState::new(&g, fine_part);
+        assert!(coarse.ed.contains(&0) && coarse.cut > 0);
+        for shards in shard_counts() {
+            let p = with_shards(shards, || BisectState::project(&g, &coarse, &cmap));
+            assert_eq!(p.part, fresh.part, "{shards} shards");
+            assert_eq!(p.ed, fresh.ed, "{shards} shards");
+            assert_eq!(p.id, fresh.id, "{shards} shards");
+            assert_eq!(
+                (p.pwgts, p.cut),
+                (fresh.pwgts, fresh.cut),
+                "{shards} shards"
+            );
         }
     }
 

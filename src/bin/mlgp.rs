@@ -3,8 +3,8 @@
 //!
 //! ```text
 //! mlgp partition <graph> <k> [--report] [--report-json] [--stats] [--trace FILE]
-//!                            [--method ml|msb|msb-kl|chaco] [--seed N] [--out FILE]
-//!                            [--threads N]
+//!                            [--method ml|ml-refined|msb|msb-kl|chaco] [--seed N]
+//!                            [--out FILE] [--threads N]
 //! mlgp order     <graph>     [--method mlnd|mmd|snd] [--stats] [--trace FILE] [--out FILE]
 //! mlgp gen       <key> <out> [--scale F]   # write a suite graph (.mtx → MatrixMarket)
 //! mlgp info      <graph>
@@ -52,8 +52,8 @@ mlgp — multilevel graph partitioning (Karypis-Kumar ICPP'95 reproduction)
 
 USAGE:
   mlgp partition <graph> <k> [--report] [--report-json] [--stats] [--trace FILE]
-                             [--method ml|msb|msb-kl|chaco] [--seed N] [--out FILE]
-                             [--threads N]
+                             [--method ml|ml-refined|msb|msb-kl|chaco] [--seed N]
+                             [--out FILE] [--threads N]
   mlgp order     <graph>     [--method mlnd|mmd|snd] [--stats] [--trace FILE] [--out FILE]
   mlgp gen       <key> <out> [--scale F]
   mlgp info      <graph>
@@ -66,7 +66,8 @@ DESIGN.md, e.g. gen:4ELT, gen:BC31@0.1). `gen` writes MatrixMarket when
 stderr; --trace FILE writes JSONL telemetry; --report-json prints the
 partition quality report as one JSON object on stdout. --threads N caps
 every partitioning method at N workers (0 = auto); the partition is
-bit-identical for every N.
+bit-identical for every N. --method ml is multilevel recursive bisection;
+ml-refined follows it with one k-way refinement sweep over the whole graph.
 ";
 
 /// Positional arguments and `(name, value)` option pairs.
@@ -216,6 +217,16 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
             &trace,
         )
         .part),
+        "ml-refined" => Ok(mlgp::part::kway_partition_refined_traced(
+            &g,
+            k,
+            &MlConfig {
+                seed,
+                ..MlConfig::default()
+            },
+            &trace,
+        )
+        .part),
         "msb" => Ok(msb_kway(
             &g,
             k,
@@ -240,7 +251,9 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
                 ..ChacoMlConfig::default()
             },
         )),
-        other => Err(format!("unknown method `{other}` (ml|msb|msb-kl|chaco)")),
+        other => Err(format!(
+            "unknown method `{other}` (ml|ml-refined|msb|msb-kl|chaco)"
+        )),
     })?;
     let elapsed = t.elapsed();
     let cut = edge_cut_kway(&g, &part);

@@ -22,6 +22,34 @@ fn partition_generated_graph() {
     assert!(stdout.contains("k=4"));
 }
 
+/// The edge cut `mlgp partition` prints for `method` on `spec` at `k`.
+fn partition_cut(spec: &str, k: &str, method: &str) -> i64 {
+    let out = mlgp()
+        .args(["partition", spec, k, "--method", method])
+        .output()
+        .expect("spawn mlgp");
+    assert!(
+        out.status.success(),
+        "{method}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    stdout
+        .split_whitespace()
+        .find_map(|f| f.strip_prefix("edge-cut="))
+        .and_then(|c| c.parse().ok())
+        .unwrap_or_else(|| panic!("{method}: no edge-cut in {stdout}"))
+}
+
+#[test]
+fn ml_refined_never_cuts_more_than_ml() {
+    // The k-way sweep commits only moves of gain >= 0 on top of the same
+    // recursive bisection, so it never raises the cut.
+    let ml = partition_cut("gen:4ELT@0.2", "8", "ml");
+    let refined = partition_cut("gen:4ELT@0.2", "8", "ml-refined");
+    assert!(refined <= ml, "ml-refined {refined} > ml {ml}");
+}
+
 #[test]
 fn order_generated_graph_all_methods() {
     for method in ["mlnd", "mmd", "snd"] {
