@@ -4,12 +4,7 @@
 //! * `matching_8k_tet` — level 0 of a unit-weight tetrahedral mesh;
 //! * `matching_8k_stiffness` — level 0 of a unit-weight 27-point grid;
 //! * `matching_coarse_level1` — HEM on level 1 of that grid's `coarsen`
-//!   hierarchy, with the vertex and edge weights contraction produced;
-//! * `contract_hem_shards` — contracting a 28³ grid by its HEM matching
-//!   under pools of 1 and 2 threads. The coarse level keeps more than the
-//!   8192-vertex sharding floor, so the pool picks the kernel: one shard,
-//!   rows folded in place and sorted by one transpose, against two shards,
-//!   per-shard sorted rows copied into place.
+//!   hierarchy, with the vertex and edge weights contraction produced.
 //!
 //! The matching kernel is serial and computes the greedy matching under the
 //! edge key. On the two unit-weight level-0 groups HEM and LEM take the
@@ -21,8 +16,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mlgp_graph::generators::{stiffness3d, tet_mesh3d};
 use mlgp_graph::rng::seeded;
 use mlgp_graph::CsrGraph;
-use mlgp_linalg::with_fanout;
-use mlgp_part::{coarsen, compute_matching, contract_threads, MatchingScheme, MlConfig};
+use mlgp_part::{coarsen, compute_matching, MatchingScheme, MlConfig};
 use std::hint::black_box;
 
 fn bench_schemes(c: &mut Criterion, group: &str, g: &CsrGraph, schemes: &[MatchingScheme]) {
@@ -53,29 +47,6 @@ fn bench_matching(c: &mut Criterion) {
         &hierarchy.graphs[1],
         &[MatchingScheme::HeavyEdge],
     );
-    bench_contract_shards(c, &stiffness3d(28, 28, 28));
-}
-
-/// Contraction of `g` by its HEM matching under pools of 1 and 2 threads;
-/// each reports the shard count the kernel chose.
-fn bench_contract_shards(c: &mut Criterion, g: &CsrGraph) {
-    let cewgt = vec![0; g.n()];
-    let m = compute_matching(g, MatchingScheme::HeavyEdge, &cewgt, &mut seeded(3));
-    let (cmap, nc) = m.to_cmap();
-    let mut group = c.benchmark_group("contract_hem_shards");
-    for threads in [1, 2] {
-        let shards = with_fanout(threads, || {
-            contract_threads(g, &cmap, nc, &cewgt, 0).1.shards
-        });
-        group.bench_function(format!("{threads}_thread_{shards}_shard"), |b| {
-            b.iter(|| {
-                with_fanout(threads, || {
-                    black_box(contract_threads(g, &cmap, nc, &cewgt, 0))
-                })
-            })
-        });
-    }
-    group.finish();
 }
 
 criterion_group!(benches, bench_matching);

@@ -2,12 +2,12 @@
 //!
 //! The paper's §5 argues the multilevel scheme parallelizes (56× on a
 //! 128-processor Cray T3D for their message-passing formulation). This
-//! binary measures the shared-memory analogue at kernel granularity:
-//! wall-clock speedup of **matching**, **contraction**, the full
-//! **coarsen** loop, and the **metrics** reductions over 1/2/4/8 worker
-//! threads on a ≥200k-vertex generator mesh — the hot paths the
-//! deterministic parallel kernels in `mlgp-part` cover — plus a
-//! **per-phase table** for the full refined pipeline
+//! binary measures the shared-memory analogue: wall-clock speedup of
+//! **matching**, **contraction**, the full **coarsen** loop, and the
+//! **metrics** reductions over 1/2/4/8 worker threads on a ≥200k-vertex
+//! generator mesh (matching and contraction are serial kernels, so their
+//! rows are a ≈1.0× control; the metrics are chunked parallel loops) —
+//! plus a **per-phase table** for the full refined pipeline
 //! (`kway_partition_refined`), splitting coarsen vs init/refine/project
 //! (the paper's CTime vs ITime/RTime/PTime) so coarsening and
 //! uncoarsening scaling are visible separately, and a **spectral/linalg
@@ -295,8 +295,8 @@ fn main() {
     println!("detected hardware parallelism: {cores} core(s).");
     if cores == 1 {
         println!("on a single core this run demonstrates overhead-neutrality of the");
-        println!("sharded kernels (≈1.0x at every thread count), not speedup; the");
-        println!("shim runs shards on persistent pool workers, so multicore hosts see");
+        println!("parallel loops and forks (≈1.0x at every thread count), not speedup;");
+        println!("the shim runs chunks on persistent pool workers, so multicore hosts see");
         println!("the real scaling figure.");
     }
     finish_or_exit(sink);

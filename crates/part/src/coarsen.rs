@@ -4,7 +4,7 @@
 use crate::config::MlConfig;
 use crate::contract::contract_threads;
 use crate::matching::compute_matching_threads;
-use crate::shards::MIN_PARALLEL_N;
+use crate::metrics::MIN_PARALLEL_N;
 use mlgp_graph::{CsrGraph, Vid};
 use mlgp_trace::Trace;
 use rand::Rng;
@@ -56,9 +56,9 @@ pub fn coarsen<R: Rng>(g: &CsrGraph, cfg: &MlConfig, rng: &mut R) -> Hierarchy {
 }
 
 /// [`coarsen`] with kernel telemetry: records per-level kernel counters
-/// (`match_edges_scanned`, and contraction's shard count and per-shard
-/// entries) into `trace` when it is enabled. The hierarchy itself is identical to [`coarsen`]'s —
-/// tracing never perturbs the result.
+/// (`match_edges_scanned`, `contract_entries`) into `trace` when it is
+/// enabled. The hierarchy itself is identical to [`coarsen`]'s — tracing
+/// never perturbs the result.
 pub fn coarsen_traced<R: Rng>(
     g: &CsrGraph,
     cfg: &MlConfig,
@@ -84,10 +84,7 @@ pub fn coarsen_traced<R: Rng>(
         let (c, cstats) = contract_threads(cur, &cmap, nc, &cewgt, 0);
         if trace.is_enabled() {
             trace.count("match_edges_scanned", mstats.edges_scanned);
-            trace.count("par_contract_shards", cstats.shards as u64);
-            for (i, &e) in cstats.entries.iter().enumerate() {
-                trace.count(&format!("par_contract_shard{i}_entries"), e);
-            }
+            trace.count("contract_entries", cstats.entries.iter().sum());
         }
         cewgt = c.cewgt;
         graphs.push(c.graph);

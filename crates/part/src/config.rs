@@ -137,13 +137,9 @@ pub struct MlConfig {
     /// factor (guards against matching collapse on star-like graphs).
     pub min_coarsen_shrink: f64,
     /// KL early-exit parameter `x`: abort a pass after this many
-    /// consecutive non-improving moves (paper: 50).
-    ///
-    /// This is the canonical name for the knob. Historically the FM code
-    /// referred to it variously as `early_exit` and the "bad move" counter;
-    /// all telemetry now reports pass aborts caused by it under the single
-    /// counter name `early_exit_triggers` (see `RefineStats` and the
-    /// `refine_level` trace events).
+    /// consecutive non-improving moves (paper: 50). Telemetry reports pass
+    /// aborts caused by it as `early_exit_triggers` (see `RefineStats` and
+    /// the `refine_level` trace events).
     pub early_exit_moves: usize,
     /// Allowed imbalance: each side may weigh up to `imbalance ×` its
     /// target.
@@ -156,11 +152,11 @@ pub struct MlConfig {
     pub hybrid_boundary_frac: f64,
     /// RNG seed (the paper fixes its seed for all experiments).
     pub seed: u64,
-    /// Ignored. The parallel kernels take one shard per thread of the
-    /// installed pool (`ThreadPool::install`, the CLI's `--threads`) on
-    /// levels of at least 8192 vertices, and one below; results are
-    /// bit-identical either way. The field stays only for callers that
-    /// still set it.
+    /// Ignored. Every per-level kernel is serial; the installed pool
+    /// (`ThreadPool::install`, the CLI's `--threads`) reaches the recursion
+    /// forks, the initial-partition trials and the chunked flat loops, and
+    /// results are bit-identical under any pool. The field stays only for
+    /// callers that still set it.
     pub threads: usize,
 }
 

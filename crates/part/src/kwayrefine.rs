@@ -4,14 +4,14 @@
 //! *final* k-way partition, moving boundary vertices to whichever adjacent
 //! part reduces the cut most, under the balance constraint.
 //!
-//! # Round-based parallel kernel (determinism contract)
+//! # Round-based kernel (determinism contract)
 //!
-//! The sweep runs as synchronized *propose/commit rounds* over vertex-range
-//! shards, the structure of a local-max matching handshake:
+//! The sweep runs as synchronized *propose/commit rounds*, the structure
+//! of a local-max matching handshake:
 //!
-//! 1. **Propose** — every boundary vertex computes, in parallel, its best
-//!    legal move against a *frozen* snapshot of the partition and part
-//!    weights: maximal connectivity gain, ties toward the lighter part,
+//! 1. **Propose** — every boundary vertex computes its best legal move
+//!    against a *frozen* snapshot of the partition and part weights:
+//!    maximal connectivity gain, ties toward the lighter part,
 //!    destinations over the balance bound excluded.
 //! 2. **Resolve** — a proposer commits only if it beats every proposing
 //!    neighbor under the strict key `(gain, seeded rank)` (ranks come from
@@ -20,16 +20,14 @@
 //!    neighborhood changes this round — every committed gain is *exact*
 //!    and the cut never increases.
 //! 3. **Commit** — winners are bucketed by destination part in vertex
-//!    order; each part, in its own task, accepts its candidates best-first
-//!    while they fit in its budget `ub − pwgt`. Only that task reads or
-//!    changes the budget, so the accepted set is schedule-independent.
-//!    Rejected and losing vertices simply re-propose next round against
-//!    the updated snapshot.
+//!    order; each part accepts its candidates best-first while they fit in
+//!    its budget `ub − pwgt`. Rejected and losing vertices simply
+//!    re-propose next round against the updated snapshot.
 //!
-//! The result is a pure function of `(graph, partition, k, options.seed)`:
-//! any shard count produces the bit-identical refined partition, and the
-//! shard count follows the graph's size and the installed pool
-//! (`shards.rs`). The globally maximal proposer always wins and always
+//! The result is a pure function of `(graph, partition, k, options.seed)`,
+//! independent of visit order within a phase. The phases run as serial
+//! loops; parallelism lives at the recursion forks of the bisections that
+//! produce the input. The globally maximal proposer always wins and always
 //! fits its (snapshot-legal) budget, so every round with proposals commits
 //! at least one move.
 //!
@@ -39,7 +37,7 @@
 //! every vertex, its number of neighbors in other parts, and the propose
 //! phase reads the adjacency of boundary vertices only; interior ones just
 //! clear their proposal slot. The counts are built once in `O(n + m)` and
-//! kept exact by the serial apply loop, which updates each moved vertex
+//! kept exact by the apply loop, which updates each moved vertex
 //! and its neighbors in `O(deg)`. A round then costs `O(n)` plus the
 //! adjacency of the boundary and of the proposers' neighbors (resolve),
 //! instead of `O(n + m)`; proposals, winners and moves are exactly those
@@ -47,13 +45,11 @@
 
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
-use crate::metrics::{edge_cut_kway, part_weights};
-use crate::shards::{shard_bounds, shard_count, MIN_PARALLEL_N};
+use crate::metrics::{edge_cut_kway, part_weights, MIN_PARALLEL_N};
 use mlgp_graph::rng::{random_order, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use mlgp_trace::{Event, Trace, SPAN_REFINE};
 use rayon::prelude::*;
-use std::sync::atomic::{AtomicI64, AtomicU32, Ordering};
 
 /// Sentinel for "no proposal this round".
 const NONE: u32 = u32::MAX;
@@ -67,8 +63,8 @@ pub struct KwayRefineOptions {
     pub imbalance: f64,
     /// Seed for the rank permutation (the commit tie-breaker).
     pub seed: u64,
-    /// Ignored. The shard count follows the graph's size and the installed
-    /// pool; the field stays only for callers that still set it.
+    /// Ignored: the sweep is one serial kernel. The field stays only for
+    /// callers that still set it.
     pub threads: usize,
 }
 
@@ -123,21 +119,6 @@ pub fn kway_refine_greedy_traced(
     kway_refine_stats(g, part, k, opts, trace).0
 }
 
-/// Per-shard kernel state: the contiguous vertex range one worker owns,
-/// with its connectivity scratch and per-round outputs.
-struct RefineShard {
-    lo: usize,
-    hi: usize,
-    /// Connectivity of the current vertex to each part, reset per vertex
-    /// via `touched`.
-    conn: Vec<Wgt>,
-    touched: Vec<u32>,
-    /// Proposals made this round by vertices of this shard.
-    proposals: usize,
-    /// Round winners of this shard, ascending by vertex id.
-    winners: Vec<(Vid, Wgt)>,
-}
-
 /// [`kway_refine_greedy_traced`] returning the kernel telemetry alongside
 /// the final cut (used by the scaling bench and the determinism suite).
 pub fn kway_refine_stats(
@@ -171,23 +152,15 @@ pub fn kway_refine_stats(
     let avg = total as f64 / k as f64;
     let ub = (avg * opts.imbalance).ceil() as Wgt;
 
-    let nshards = shard_count(n);
-    let mut shards: Vec<RefineShard> = shard_bounds(n, nshards)
-        .into_iter()
-        .map(|(lo, hi)| RefineShard {
-            lo,
-            hi,
-            conn: vec![0; k],
-            touched: Vec::with_capacity(16),
-            proposals: 0,
-            winners: Vec::new(),
-        })
-        .collect();
-    // Proposal slots, each written once per round by its owner shard.
-    let prop_to: Vec<AtomicU32> = (0..n).map(|_| AtomicU32::new(NONE)).collect();
-    let prop_gain: Vec<AtomicI64> = (0..n).map(|_| AtomicI64::new(0)).collect();
+    // Connectivity of the current vertex to each part, reset per vertex
+    // via `touched`.
+    let mut conn: Vec<Wgt> = vec![0; k];
+    let mut touched: Vec<u32> = Vec::with_capacity(16);
+    // Proposal slots, rewritten every round: destination and gain.
+    let mut prop_to = vec![NONE; n];
+    let mut prop_gain: Vec<Wgt> = vec![0; n];
     // Neighbors of each vertex in another part: only boundary vertices
-    // (`external > 0`) can propose. The serial apply loop keeps it current.
+    // (`external > 0`) can propose. The apply loop keeps it current.
     let mut external = vec![0u32; n];
     {
         let part_ro: &[u32] = part;
@@ -209,142 +182,86 @@ pub fn kway_refine_stats(
         // Propose: best legal move per boundary vertex against the frozen
         // (part, pwgts) snapshot; interior vertices cannot improve the cut
         // and skip their adjacency.
-        {
-            let part_ro: &[u32] = part;
-            let pwgts_ro: &[Wgt] = &pwgts;
-            let external_ro: &[u32] = &external;
-            shards
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(1)
-                .for_each(|(_, sh)| {
-                    sh.proposals = 0;
-                    for v in sh.lo..sh.hi {
-                        // RELAXED: proposal slots are single-writer — only
-                        // the shard owning `v` stores them this round — and
-                        // readers run in the resolve phase, after the rayon
-                        // fork/join barrier that publishes these stores.
-                        if external_ro[v] == 0 {
-                            prop_to[v].store(NONE, Ordering::Relaxed);
-                            continue;
-                        }
-                        let home = part_ro[v] as usize;
-                        sh.touched.clear();
-                        for (u, w) in g.adj(v as Vid) {
-                            let pu = part_ro[u as usize] as usize;
-                            if sh.conn[pu] == 0 {
-                                sh.touched.push(pu as u32);
-                            }
-                            sh.conn[pu] += w;
-                        }
-                        let mut best: Option<(Wgt, Wgt, usize)> = None; // (gain, -pwgt, part)
-                        let vw = g.vwgt()[v];
-                        let here = sh.conn[home];
-                        for &t in &sh.touched {
-                            let t = t as usize;
-                            if t == home || pwgts_ro[t] + vw > ub {
-                                continue;
-                            }
-                            let gain = sh.conn[t] - here;
-                            let key = (gain, -pwgts_ro[t]);
-                            if (gain > 0 || (gain == 0 && pwgts_ro[t] + vw < pwgts_ro[home]))
-                                && best.is_none_or(|(bg, bw, _)| key > (bg, bw))
-                            {
-                                best = Some((gain, -pwgts_ro[t], t));
-                            }
-                        }
-                        for &t in &sh.touched {
-                            sh.conn[t as usize] = 0;
-                        }
-                        match best {
-                            Some((gain, _, to)) => {
-                                prop_gain[v].store(gain, Ordering::Relaxed);
-                                prop_to[v].store(to as u32, Ordering::Relaxed);
-                                sh.proposals += 1;
-                            }
-                            None => prop_to[v].store(NONE, Ordering::Relaxed),
-                        }
-                    }
-                });
+        let mut proposals = 0usize;
+        for v in 0..n {
+            prop_to[v] = NONE;
+            if external[v] == 0 {
+                continue;
+            }
+            let home = part[v] as usize;
+            touched.clear();
+            for (u, w) in g.adj(v as Vid) {
+                let pu = part[u as usize] as usize;
+                if conn[pu] == 0 {
+                    touched.push(pu as u32);
+                }
+                conn[pu] += w;
+            }
+            let mut best: Option<(Wgt, Wgt, usize)> = None; // (gain, -pwgt, part)
+            let vw = g.vwgt()[v];
+            let here = conn[home];
+            for &t in &touched {
+                let t = t as usize;
+                if t == home || pwgts[t] + vw > ub {
+                    continue;
+                }
+                let gain = conn[t] - here;
+                let key = (gain, -pwgts[t]);
+                if (gain > 0 || (gain == 0 && pwgts[t] + vw < pwgts[home]))
+                    && best.is_none_or(|(bg, bw, _)| key > (bg, bw))
+                {
+                    best = Some((gain, -pwgts[t], t));
+                }
+            }
+            for &t in &touched {
+                conn[t as usize] = 0;
+            }
+            if let Some((gain, _, to)) = best {
+                prop_gain[v] = gain;
+                prop_to[v] = to as u32;
+                proposals += 1;
+            }
         }
-        let proposals: usize = shards.iter().map(|sh| sh.proposals).sum();
         if proposals == 0 {
             break;
         }
         // Resolve: a proposer wins iff it beats every proposing neighbor
         // under the strict `(gain, rank)` key, so winners are independent
-        // and their snapshot gains are exact.
-        shards
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(_, sh)| {
-                // RELAXED: the proposal slots are frozen during resolve —
-                // written in the propose phase, published by its fork/join
-                // barrier, and only read here — so plain loads suffice.
-                sh.winners.clear();
-                for v in sh.lo..sh.hi {
-                    if prop_to[v].load(Ordering::Relaxed) == NONE {
-                        continue;
-                    }
-                    let gv = prop_gain[v].load(Ordering::Relaxed);
-                    let kv = (gv, rank[v]);
-                    let mut wins = true;
-                    for &u in g.neighbors(v as Vid) {
-                        if prop_to[u as usize].load(Ordering::Relaxed) == NONE {
-                            continue;
-                        }
-                        if (
-                            prop_gain[u as usize].load(Ordering::Relaxed),
-                            rank[u as usize],
-                        ) > kv
-                        {
-                            wins = false;
-                            break;
-                        }
-                    }
-                    if wins {
-                        sh.winners.push((v as Vid, gv));
-                    }
-                }
-            });
-        // Commit: bucket winners by destination in vertex order, then each
-        // part accepts best-first while its weight stays within the bound.
-        // Only bucket `p`'s task reads or changes part `p`'s budget.
+        // and their snapshot gains are exact. Winners are bucketed by
+        // destination in vertex order.
         let mut buckets: Vec<Vec<(Vid, Wgt)>> = vec![Vec::new(); k];
         let mut winners_total = 0usize;
-        for sh in &shards {
-            // RELAXED: serial section between the resolve and commit
-            // fan-outs; the barrier already ordered these stores.
-            for &(v, gain) in &sh.winners {
-                buckets[prop_to[v as usize].load(Ordering::Relaxed) as usize].push((v, gain));
+        for v in 0..n {
+            if prop_to[v] == NONE {
+                continue;
+            }
+            let kv = (prop_gain[v], rank[v]);
+            let wins = g.neighbors(v as Vid).iter().all(|&u| {
+                prop_to[u as usize] == NONE || (prop_gain[u as usize], rank[u as usize]) <= kv
+            });
+            if wins {
+                buckets[prop_to[v] as usize].push((v as Vid, prop_gain[v]));
                 winners_total += 1;
             }
         }
-        {
-            let rank_ro: &[u32] = &rank;
-            let pwgts_ro: &[Wgt] = &pwgts;
-            buckets
-                .par_iter_mut()
-                .enumerate()
-                .with_min_len(1)
-                .for_each(|(p, bucket)| {
-                    bucket.sort_unstable_by(|&(va, ga), &(vb, gb)| {
-                        (gb, rank_ro[vb as usize]).cmp(&(ga, rank_ro[va as usize]))
-                    });
-                    let mut left = ub - pwgts_ro[p];
-                    bucket.retain(|&(v, _)| {
-                        let vw = g.vwgt()[v as usize];
-                        let fits = vw <= left;
-                        if fits {
-                            left -= vw;
-                        }
-                        fits
-                    });
-                });
+        // Commit: each part accepts best-first while its weight stays
+        // within the bound.
+        for (p, bucket) in buckets.iter_mut().enumerate() {
+            bucket.sort_unstable_by(|&(va, ga), &(vb, gb)| {
+                (gb, rank[vb as usize]).cmp(&(ga, rank[va as usize]))
+            });
+            let mut left = ub - pwgts[p];
+            bucket.retain(|&(v, _)| {
+                let vw = g.vwgt()[v as usize];
+                let fits = vw <= left;
+                if fits {
+                    left -= vw;
+                }
+                fits
+            });
         }
-        // Apply the accepted moves (disjoint vertices; serial and cheap),
-        // refreshing the boundary counts of each mover and its neighbors.
+        // Apply the accepted moves (disjoint vertices), refreshing the
+        // boundary counts of each mover and its neighbors.
         let mut moves = 0usize;
         for (p, bucket) in buckets.iter().enumerate() {
             let to = p as u32;
@@ -433,7 +350,6 @@ mod tests {
     use super::*;
     use crate::kway::kway_partition;
     use crate::metrics::{boundary_count, imbalance};
-    use crate::shards::{shard_counts, with_shards};
     use mlgp_graph::generators::{grid2d, powerlaw, tet_mesh3d, tri_mesh2d};
 
     /// The full-scan kernel the boundary counts replaced, run serially as
@@ -565,16 +481,11 @@ mod tests {
                 let mut want_part = start.clone();
                 let (want_cut, want) = reference_refine(g, &mut want_part, k, &opts);
                 moved += want.moves;
-                for shards in shard_counts() {
-                    let ctx = format!("{name} k={k} @ {shards} shards");
-                    let mut part = start.clone();
-                    let (cut, stats) = with_shards(shards, || {
-                        kway_refine_stats(g, &mut part, k, &opts, &Trace::disabled())
-                    });
-                    assert_eq!(part, want_part, "{ctx}");
-                    assert_eq!(cut, want_cut, "{ctx}");
-                    assert_eq!(stats, want, "{ctx}");
-                }
+                let mut part = start.clone();
+                let (cut, stats) = kway_refine_stats(g, &mut part, k, &opts, &Trace::disabled());
+                assert_eq!(part, want_part, "{name} k={k}");
+                assert_eq!(cut, want_cut, "{name} k={k}");
+                assert_eq!(stats, want, "{name} k={k}");
             }
         }
         assert!(moved > 0, "the oracle cases made no moves");
@@ -691,24 +602,6 @@ mod tests {
             part
         };
         assert_eq!(run(), run());
-    }
-
-    #[test]
-    fn shard_count_does_not_change_the_refinement() {
-        let g = tri_mesh2d(26, 22, 3);
-        let base = kway_partition(&g, 8, &MlConfig::default()).part;
-        let run = |shards: usize| {
-            let mut part = base.clone();
-            let opts = KwayRefineOptions::default();
-            let (cut, stats) = with_shards(shards, || {
-                kway_refine_stats(&g, &mut part, 8, &opts, &Trace::disabled())
-            });
-            (part, cut, stats.rounds, stats.moves)
-        };
-        let reference = run(1);
-        for shards in [2, 3, 8] {
-            assert_eq!(run(shards), reference, "diverged at {shards} shards");
-        }
     }
 
     #[test]

@@ -31,7 +31,6 @@ pub mod matching;
 pub mod metrics;
 pub mod refine;
 pub mod report;
-mod shards;
 
 pub use bisect::{bisect, bisect_targets, bisect_targets_traced, bisect_traced, BisectionResult};
 pub use coarsen::{coarsen, coarsen_traced, Hierarchy};

@@ -1,16 +1,21 @@
 //! Partition quality metrics: edge-cut, balance, boundary size.
 //!
 //! The hot metrics (`edge_cut_*`, [`part_weights`], [`boundary_count`])
-//! reduce in parallel over contiguous vertex ranges. Every reduction sums
-//! integers — an associative, commutative fold — and the shim combines
-//! chunk partials in chunk order, so the results are exact and identical
-//! for any thread count. Signatures are unchanged from the sequential
-//! versions; parallelism is an internal detail governed by the ambient
-//! rayon thread cap (`ThreadPool::install`).
+//! reduce in parallel over contiguous vertex ranges of at least
+//! `MIN_PARALLEL_N` vertices, so a smaller graph runs as one chunk. Every
+//! reduction sums integers — an associative, commutative fold — and the
+//! shim combines chunk partials in chunk order, so the results are exact
+//! and identical for any installed pool (`ThreadPool::install`). The same
+//! floor gates the crate's other flat chunked loops (projection, boundary
+//! scans, the k-way sweep's boundary counts), which, like these, keep no
+//! per-chunk state beyond the fold.
 
-use crate::shards::MIN_PARALLEL_N;
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rayon::prelude::*;
+
+/// Below this vertex count a chunked loop runs as one chunk: handing
+/// chunks to pool workers would cost more than it saves.
+pub(crate) const MIN_PARALLEL_N: usize = 8192;
 
 /// Edge-cut of a 2-way partition given as 0/1 labels.
 pub fn edge_cut_bisection(g: &CsrGraph, part: &[u8]) -> Wgt {

@@ -7,12 +7,8 @@
 //! refinement algorithms operate on this state through `move_vertex`, which
 //! maintains every quantity in `O(deg v)`.
 //!
-//! Building the state shards the vertex range above `MIN_PARALLEL_N`
-//! vertices, one shard per thread of the installed pool (`shards.rs`):
-//! each shard computes its vertices' degrees and its partial part weights
-//! and cut, and the partials are combined in shard order, so the state is
-//! bit-identical at every shard count. A smaller graph, or a one-thread
-//! pool, runs the one shard inline.
+//! Building the state is one serial `O(n + m)` pass over the vertices;
+//! parallelism lives at the recursion forks above it.
 //!
 //! # Projection
 //!
@@ -28,7 +24,7 @@
 //! scan them. The result equals [`BisectState::new`] on the projected
 //! partition, field by field.
 
-use crate::shards::{shard_bounds, shard_count, MIN_PARALLEL_N};
+use crate::metrics::MIN_PARALLEL_N;
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rayon::prelude::*;
 
@@ -49,11 +45,10 @@ pub struct BisectState<'g> {
 }
 
 impl<'g> BisectState<'g> {
-    /// Build the state for an existing partition in `O(n + m)` work,
-    /// sharded over the installed pool above the size floor.
+    /// Build the state for an existing partition in `O(n + m)` work.
     pub fn new(g: &'g CsrGraph, part: Vec<u8>) -> Self {
         assert_eq!(part.len(), g.n());
-        let (ed, id, pwgts, cut) = sharded_degrees(g.n(), |v, pwgts, cut| {
+        let (ed, id, pwgts, cut) = degrees(g.n(), |v, pwgts, cut| {
             let pv = part[v];
             debug_assert!(pv <= 1);
             pwgts[pv as usize] += g.vwgt()[v];
@@ -98,7 +93,7 @@ impl<'g> BisectState<'g> {
             .enumerate()
             .with_min_len(MIN_PARALLEL_N)
             .for_each(|(v, slot)| *slot = coarse.part[cmap[v] as usize]);
-        let (ed, id, _, _) = sharded_degrees(fine.n(), |v, _, _| {
+        let (ed, id, _, _) = degrees(fine.n(), |v, _, _| {
             if coarse.ed[cmap[v] as usize] == 0 {
                 return (0, fine.edge_weights(v as Vid).iter().sum());
             }
@@ -207,64 +202,19 @@ impl<'g> BisectState<'g> {
 }
 
 /// Per-vertex `(ed, id)` of `n` vertices from `vertex(v, pwgts, cut)`,
-/// which may also add to its shard's partial part weights and cut. Above
-/// the size floor the vertex range is cut into one contiguous shard per
-/// pool thread; degrees are concatenated and partials summed in shard
-/// order, so the result is the same at every shard count.
-fn sharded_degrees<F>(n: usize, vertex: F) -> (Vec<Wgt>, Vec<Wgt>, [Wgt; 2], Wgt)
+/// which may also add to the part weights and cut returned with them.
+fn degrees<F>(n: usize, mut vertex: F) -> (Vec<Wgt>, Vec<Wgt>, [Wgt; 2], Wgt)
 where
-    F: Fn(usize, &mut [Wgt; 2], &mut Wgt) -> (Wgt, Wgt) + Sync,
+    F: FnMut(usize, &mut [Wgt; 2], &mut Wgt) -> (Wgt, Wgt),
 {
-    struct Shard {
-        lo: usize,
-        hi: usize,
-        ed: Vec<Wgt>,
-        id: Vec<Wgt>,
-        pwgts: [Wgt; 2],
-        cut: Wgt,
-    }
-    let run = |sh: &mut Shard| {
-        for v in sh.lo..sh.hi {
-            let (ed_v, id_v) = vertex(v, &mut sh.pwgts, &mut sh.cut);
-            sh.ed.push(ed_v);
-            sh.id.push(id_v);
-        }
-    };
-    let mut shards: Vec<Shard> = shard_bounds(n, shard_count(n))
-        .into_iter()
-        .map(|(lo, hi)| Shard {
-            lo,
-            hi,
-            ed: Vec::with_capacity(hi - lo),
-            id: Vec::with_capacity(hi - lo),
-            pwgts: [0, 0],
-            cut: 0,
-        })
-        .collect();
-    if let [one] = &mut shards[..] {
-        run(one);
-        return (
-            std::mem::take(&mut one.ed),
-            std::mem::take(&mut one.id),
-            one.pwgts,
-            one.cut,
-        );
-    }
-    shards
-        .par_iter_mut()
-        .enumerate()
-        .with_min_len(1)
-        .for_each(|(_, sh)| run(sh));
     let mut ed = Vec::with_capacity(n);
     let mut id = Vec::with_capacity(n);
     let mut pwgts = [0, 0];
     let mut cut = 0;
-    for sh in &mut shards {
-        ed.append(&mut sh.ed);
-        id.append(&mut sh.id);
-        pwgts[0] += sh.pwgts[0];
-        pwgts[1] += sh.pwgts[1];
-        cut += sh.cut;
+    for v in 0..n {
+        let (ed_v, id_v) = vertex(v, &mut pwgts, &mut cut);
+        ed.push(ed_v);
+        id.push(id_v);
     }
     (ed, id, pwgts, cut)
 }
@@ -272,30 +222,13 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::shards::{shard_counts, with_shards};
-    use mlgp_graph::generators::{grid2d, powerlaw, tri_mesh2d};
+    use mlgp_graph::generators::{grid2d, tri_mesh2d};
     use mlgp_graph::GraphBuilder;
 
     #[test]
-    fn sharded_build_matches_serial_build() {
-        for g in [tri_mesh2d(30, 24, 5), powerlaw(2000, 3, 4)] {
-            let part: Vec<u8> = (0..g.n()).map(|v| ((v * 7 / 5) % 2) as u8).collect();
-            let serial = with_shards(1, || BisectState::new(&g, part.clone()));
-            for shards in shard_counts() {
-                let s = with_shards(shards, || BisectState::new(&g, part.clone()));
-                assert_eq!(s.cut, serial.cut, "{shards} shards");
-                assert_eq!(s.pwgts, serial.pwgts, "{shards} shards");
-                assert_eq!(s.ed, serial.ed, "{shards} shards");
-                assert_eq!(s.id, serial.id, "{shards} shards");
-            }
-        }
-    }
-
-    #[test]
-    fn projection_matches_a_fresh_build_at_every_shard_count() {
-        // A coarse level by an arbitrary three-way merge map, a striped
-        // partition (long boundaries, interior vertices on both sides), and
-        // every shard count.
+    fn projection_matches_a_fresh_build() {
+        // A coarse level by an arbitrary three-way merge map and a striped
+        // partition (long boundaries, interior vertices on both sides).
         let g = tri_mesh2d(40, 30, 2);
         let nc = g.n() / 3;
         let cmap: Vec<Vid> = (0..g.n() as Vid).map(|v| v / 3 % nc as Vid).collect();
@@ -305,17 +238,11 @@ mod tests {
         let fine_part: Vec<u8> = cmap.iter().map(|&c| cpart[c as usize]).collect();
         let fresh = BisectState::new(&g, fine_part);
         assert!(coarse.ed.contains(&0) && coarse.cut > 0);
-        for shards in shard_counts() {
-            let p = with_shards(shards, || BisectState::project(&g, &coarse, &cmap));
-            assert_eq!(p.part, fresh.part, "{shards} shards");
-            assert_eq!(p.ed, fresh.ed, "{shards} shards");
-            assert_eq!(p.id, fresh.id, "{shards} shards");
-            assert_eq!(
-                (p.pwgts, p.cut),
-                (fresh.pwgts, fresh.cut),
-                "{shards} shards"
-            );
-        }
+        let p = BisectState::project(&g, &coarse, &cmap);
+        assert_eq!(p.part, fresh.part);
+        assert_eq!(p.ed, fresh.ed);
+        assert_eq!(p.id, fresh.id);
+        assert_eq!((p.pwgts, p.cut), (fresh.pwgts, fresh.cut));
     }
 
     #[test]

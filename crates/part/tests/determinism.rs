@@ -1,12 +1,14 @@
-//! Differential determinism suite for the parallel coarsening and
-//! uncoarsening kernels.
+//! Differential determinism suite for the multilevel pipeline under
+//! different installed pools.
 //!
 //! The determinism contract (see `matching.rs` and DESIGN.md §10): with a
 //! fixed seed, the full coarsening hierarchy, the final bisection, and the
-//! k-way partition are **bit-identical** for every installed pool. The
-//! kernels take one shard per pool thread on levels of at least 8192
-//! vertices, so these tests run on ~20k-vertex graphs, whose levels 0 and
-//! 1 both shard, under pool caps of 1, 2 and 8 threads, and diff the
+//! k-way partition are **bit-identical** for every installed pool. Every
+//! per-level kernel is serial; the pool reaches the recursion forks, the
+//! initial-partition trials, and the chunked flat loops (projection,
+//! boundary scans, metrics) on levels of at least 8192 vertices. So these
+//! tests run on ~20k-vertex graphs, whose levels 0 and 1 both take the
+//! chunked path, under pool caps of 1, 2 and 8 threads, and diff the
 //! complete outputs.
 //!
 //! The `MLGP_THREADS` environment variable (set by the CI thread-matrix
@@ -37,7 +39,8 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// A 21,000-vertex mesh: its HEM level 1 still has more than 8192
-/// vertices, so two levels shard under any pool wider than one thread.
+/// vertices, so two levels take the chunked loops under any pool wider
+/// than one thread.
 fn mesh() -> CsrGraph {
     tri_mesh2d(150, 140, 11)
 }
@@ -65,12 +68,12 @@ fn hierarchy_is_bit_identical_across_thread_counts() {
                 reference.levels(),
                 "{scheme:?}: level count differs at {t} threads"
             );
-            // The suite must really exercise the sharded kernels: some
-            // contraction ran on more than one shard.
-            let contractions = h.levels() as u64 - 1;
-            assert!(
-                trace.counter("par_contract_shards") > contractions,
-                "{scheme:?}: every contraction ran on one shard at {t} threads"
+            // Every contraction scanned its fine level's adjacency once.
+            let fine_levels = &h.graphs[..h.levels() - 1];
+            assert_eq!(
+                trace.counter("contract_entries"),
+                fine_levels.iter().map(|g| g.nnz() as u64).sum::<u64>(),
+                "{scheme:?}: contraction entries at {t} threads"
             );
             for (lvl, (a, b)) in h.graphs.iter().zip(&reference.graphs).enumerate() {
                 assert_eq!(
@@ -125,10 +128,10 @@ fn kway_is_bit_identical_across_thread_counts() {
 #[test]
 fn refined_pipeline_is_bit_identical_across_thread_counts() {
     // The full pipeline: coarsen → recursive bisection → round-based k-way
-    // refinement. The pool reaches the uncoarsening kernels (BisectState
-    // construction, FM queue seeding, projection, and the propose/commit
-    // sweep), so the end-to-end result must stay a pure function of
-    // (graph, config, seed).
+    // refinement. The pool reaches the recursion forks and the chunked
+    // loops of uncoarsening (FM queue seeding, projection, the sweep's
+    // boundary counts), so the end-to-end result must stay a pure function
+    // of (graph, config, seed).
     let g = mesh();
     for scheme in [MatchingScheme::HeavyEdge, MatchingScheme::Random] {
         let reference = with_fanout(1, || kway_partition_refined(&g, 8, &cfg_with(scheme)));
@@ -149,8 +152,8 @@ fn refined_pipeline_is_bit_identical_across_thread_counts() {
 #[test]
 fn kway_refine_kernel_is_bit_identical_across_thread_counts() {
     // The round-based sweep in isolation, on a fixed damaged partition of
-    // a graph above the size floor, so it shards under every pool wider
-    // than one thread.
+    // a graph above the size floor, so its boundary counts take the
+    // chunked loop under every pool wider than one thread.
     let g = mesh();
     let base = with_fanout(1, || {
         kway_partition(&g, 8, &cfg_with(MatchingScheme::HeavyEdge))

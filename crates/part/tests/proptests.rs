@@ -155,8 +155,8 @@ proptest! {
         // matched weight from the edge total (W(E_{i+1}) = W(E_i) − W(M_i),
         // with the collapsed weight accounted in cewgt); and emits a valid
         // CSR with sorted, self-loop-free, symmetric rows — independent of
-        // the installed pool. (These graphs stay below the sharding floor;
-        // `contract.rs`'s unit tests force shard counts on random graphs.)
+        // the installed pool. (`contract.rs`'s unit tests also check the
+        // kernel against a `GraphBuilder` oracle on random graphs.)
         let g = random_graph(n, extra, seed);
         let cewgt = vec![0; g.n()];
         let m = mlgp_part::compute_matching(

@@ -75,11 +75,15 @@ type ParsedArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
 /// Parse `--flag value` style options out of an argument list; returns the
 /// positional arguments. Options named in `values` must be followed by a
-/// value. Those named in `flags` take an optional one (a bare flag reads as
-/// `true`). Any other option is an error.
+/// value. Those named in `optional` take the next argument as their value
+/// unless it is another option. Those named in `flags` are boolean: they
+/// take the next argument only when it is `true` or `false`, so a flag
+/// never swallows a positional argument. A bare optional-value option or
+/// flag reads as `true`. Any other option is an error.
 fn split_opts<'a>(
     args: &'a [String],
     values: &[&str],
+    optional: &[&str],
     flags: &[&str],
 ) -> Result<ParsedArgs<'a>, String> {
     let mut pos = Vec::new();
@@ -88,12 +92,16 @@ fn split_opts<'a>(
     while i < args.len() {
         let a = args[i].as_str();
         if let Some(name) = a.strip_prefix("--") {
-            if !values.contains(&name) && !flags.contains(&name) {
+            let is_flag = flags.contains(&name);
+            if !is_flag && !values.contains(&name) && !optional.contains(&name) {
                 return Err(format!("unknown option `{a}`\n{USAGE}"));
             }
-            // The next argument is the value unless it is another option.
             match args.get(i + 1).map(String::as_str) {
-                Some(v) if !v.starts_with("--") => {
+                Some(v) if is_flag && (v == "true" || v == "false") => {
+                    opts.push((name, v));
+                    i += 2;
+                }
+                Some(v) if !is_flag && !v.starts_with("--") => {
                     opts.push((name, v));
                     i += 2;
                 }
@@ -172,7 +180,8 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
     let (pos, opts) = split_opts(
         args,
         &["method", "seed", "out", "threads"],
-        &["report", "report-json", "stats", "trace"],
+        &["trace"],
+        &["report", "report-json", "stats"],
     )?;
     let [spec, k] = pos.as_slice() else {
         return Err(format!("partition needs <graph> <k>\n{USAGE}"));
@@ -282,7 +291,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_order(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = split_opts(args, &["method", "out"], &["stats", "trace"])?;
+    let (pos, opts) = split_opts(args, &["method", "out"], &["trace"], &["stats"])?;
     let [spec] = pos.as_slice() else {
         return Err(format!("order needs <graph>\n{USAGE}"));
     };
@@ -318,7 +327,7 @@ fn cmd_order(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = split_opts(args, &["scale"], &[])?;
+    let (pos, opts) = split_opts(args, &["scale"], &[], &[])?;
     let [key, out] = pos.as_slice() else {
         return Err(format!("gen needs <key> <out>\n{USAGE}"));
     };
@@ -339,7 +348,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let (pos, _) = split_opts(args, &[], &[])?;
+    let (pos, _) = split_opts(args, &[], &[], &[])?;
     let [spec] = pos.as_slice() else {
         return Err(format!("info needs <graph>\n{USAGE}"));
     };

@@ -307,6 +307,25 @@ fn bare_trace_and_boolean_flags_still_work() {
 }
 
 #[test]
+fn boolean_flags_leave_the_next_positional_alone() {
+    // A boolean flag takes the next argument only when it is `true` or
+    // `false`, so the flag may stand anywhere among the positionals.
+    for args in [
+        &["partition", "gen:LS34@0.2", "--stats", "2"][..],
+        &["partition", "--report", "gen:LS34@0.2", "2"],
+    ] {
+        let out = mlgp().args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("k=2"), "{args:?}: {stdout}");
+    }
+}
+
+#[test]
 fn help_prints_usage() {
     let out = mlgp().args(["--help"]).output().unwrap();
     assert!(out.status.success());
