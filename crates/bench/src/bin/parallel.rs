@@ -1,25 +1,26 @@
-//! Strong-scaling figure for the parallel coarsening kernels.
+//! Strong-scaling figure for the multilevel pipeline and its kernels.
 //!
 //! The paper's §5 argues the multilevel scheme parallelizes (56× on a
-//! 128-processor Cray T3D for their message-passing formulation). This
-//! binary measures the shared-memory analogue: wall-clock speedup of
-//! **matching**, **contraction**, the full **coarsen** loop, and the
-//! **metrics** reductions over 1/2/4/8 worker threads on a ≥200k-vertex
-//! generator mesh (matching and contraction are serial kernels, so their
-//! rows are a ≈1.0× control; the metrics are chunked parallel loops) —
-//! plus a **per-phase table** for the full refined pipeline
-//! (`kway_partition_refined`), splitting coarsen vs init/refine/project
-//! (the paper's CTime vs ITime/RTime/PTime) so coarsening and
-//! uncoarsening scaling are visible separately, and a **spectral/linalg
-//! section** (chunked-pairwise `dot`, row-sharded Laplacian SpMV, and a
-//! capped Lanczos solve) whose fingerprints hash the raw f64 bit
-//! patterns — the float kernels must match to the last ulp at every
-//! thread count.
+//! 128-processor Cray T3D for their message-passing formulation) across
+//! the independent subproblems of the recursion. This binary measures the
+//! shared-memory analogue on a ≥200k-vertex generator mesh over 1/2/4/8
+//! worker threads:
 //!
-//! Because the kernels are deterministic by construction (same seed + any
-//! thread count → bit-identical output), the run doubles as an end-to-end
-//! determinism cross-check: it fails loudly if any thread count produced a
-//! different matching, coarse graph, hierarchy, or metric value.
+//! * a **per-phase table** for the full refined pipeline
+//!   (`kway_partition_refined`), splitting coarsen vs init/refine/project
+//!   (the paper's CTime vs ITime/RTime/PTime). Its speedup comes from the
+//!   recursion forks, the only place the pool reaches;
+//! * **kernel rows** — matching, contraction, the coarsen loop and the
+//!   metric reductions — and a **spectral/linalg section** (chunked-pairwise
+//!   `dot`, Laplacian SpMV, a capped Lanczos solve). These are serial
+//!   kernels, so their rows are ≈1.0× controls: they show that a pool
+//!   costs them nothing.
+//!
+//! Every row fingerprints its output (the float kernels hash the raw f64
+//! bit patterns), so the run doubles as an end-to-end determinism
+//! cross-check: it fails loudly if any thread count produced a different
+//! matching, coarse graph, hierarchy, metric value or float result, even by
+//! one ulp.
 //!
 //! ```sh
 //! cargo run --release -p mlgp-bench --bin parallel [--scale F] [--json]
@@ -45,7 +46,7 @@ fn main() {
     let dim = ((450.0 * opts.scale.sqrt()) as usize).max(32);
     let g = tri_mesh2d(dim, dim, 7);
     opts.banner(&format!(
-        "Strong scaling of the coarsening kernels on a {}x{dim} triangular mesh \
+        "Strong scaling of the multilevel pipeline on a {}x{dim} triangular mesh \
          ({} vertices, {} edges)",
         dim,
         g.n(),
@@ -191,9 +192,9 @@ fn main() {
         }
         println!("{phase:<10} | {}", row.join(" "));
     }
-    // Spectral/linalg strong scaling: the deterministic chunked-pairwise
-    // vector reductions, the row-sharded Laplacian SpMV, and a
-    // capped-iteration Lanczos solve on the same mesh. Fingerprints are
+    // Spectral/linalg controls: the deterministic chunked-pairwise vector
+    // reductions, the Laplacian SpMV, and a capped-iteration Lanczos solve
+    // on the same mesh, all serial. Fingerprints are
     // FNV-1a over the f64 bit patterns, so any cross-thread divergence —
     // even one ulp — fails the run.
     println!("\nspectral/linalg kernels (deterministic chunked reductions):");
@@ -295,9 +296,9 @@ fn main() {
     println!("detected hardware parallelism: {cores} core(s).");
     if cores == 1 {
         println!("on a single core this run demonstrates overhead-neutrality of the");
-        println!("parallel loops and forks (≈1.0x at every thread count), not speedup;");
-        println!("the shim runs chunks on persistent pool workers, so multicore hosts see");
-        println!("the real scaling figure.");
+        println!("recursion forks (≈1.0x at every thread count), not speedup; the shim");
+        println!("runs forks on persistent pool workers, so multicore hosts see the real");
+        println!("scaling figure.");
     }
     finish_or_exit(sink);
     if !deterministic {

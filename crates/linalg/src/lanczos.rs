@@ -53,9 +53,8 @@ pub struct LanczosResult {
 /// Compute the Fiedler pair of `op` (a graph Laplacian or any symmetric
 /// positive semidefinite operator whose null space is the constant vector).
 ///
-/// The vector kernels and SpMV fan out under the installed rayon pool;
-/// the result is bit-identical at every fan-out, since all float
-/// reductions use the deterministic chunked-pairwise tree in `vecops`.
+/// All float reductions use the deterministic chunked-pairwise tree in
+/// `vecops`, so the result is a pure function of the inputs.
 pub fn lanczos_fiedler<O: SymOp>(op: &O, opts: &LanczosOptions) -> LanczosResult {
     lanczos_fiedler_impl(op, opts, None)
 }

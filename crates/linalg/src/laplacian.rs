@@ -18,9 +18,7 @@ pub trait SymOp {
 
 /// Matrix-free weighted graph Laplacian.
 ///
-/// The SpMV is sharded over vertex-row ranges — each `y[v]` depends only
-/// on row `v` of the CSR arrays, so the result is bit-identical at every
-/// fan-out; the installed rayon pool sets the shard count. Every apply is
+/// The SpMV is one serial pass over the vertex rows. Every apply is
 /// tallied in the `spmv_calls` / `spmv_rows` telemetry counters (see
 /// [`Laplacian::spmv_calls`]) which the traced solver wrappers export as
 /// `spmv_*` trace counters.
@@ -78,8 +76,7 @@ impl<'a> Laplacian<'a> {
 
     /// Rayleigh quotient `x' L x / x' x`, computed edge-wise for stability:
     /// `x' L x = Σ_{(u,v) ∈ E} w_uv (x_u − x_v)²`. Both reductions use the
-    /// deterministic chunked-pairwise tree (`vecops::chunked_reduce`), so
-    /// the value is identical at every thread count.
+    /// deterministic chunked-pairwise tree (`vecops::chunked_reduce`).
     pub fn rayleigh(&self, x: &[f64]) -> f64 {
         let xx = crate::vecops::dot(x, x);
         if xx == 0.0 {
@@ -102,9 +99,6 @@ impl<'a> Laplacian<'a> {
     }
 }
 
-/// Below this size the parallel SpMV's fork overhead exceeds the work.
-const PAR_APPLY_THRESHOLD: usize = 20_000;
-
 impl SymOp for Laplacian<'_> {
     fn dim(&self) -> usize {
         self.g.n()
@@ -117,23 +111,12 @@ impl SymOp for Laplacian<'_> {
         self.spmv_calls.fetch_add(1, Ordering::Relaxed);
         self.spmv_rows
             .fetch_add(self.dim() as u64, Ordering::Relaxed);
-        let row = |v: Vid| -> f64 {
+        for v in 0..self.g.n() as Vid {
             let mut acc = self.deg[v as usize] * x[v as usize];
             for (u, w) in self.g.adj(v) {
                 acc -= w as f64 * x[u as usize];
             }
-            acc
-        };
-        if self.g.n() >= PAR_APPLY_THRESHOLD && rayon::current_num_threads() > 1 {
-            use rayon::prelude::*;
-            y.par_iter_mut()
-                .enumerate()
-                .with_min_len(4096)
-                .for_each(|(v, yv)| *yv = row(v as Vid));
-        } else {
-            for v in 0..self.g.n() as Vid {
-                y[v as usize] = row(v);
-            }
+            y[v as usize] = acc;
         }
     }
 }

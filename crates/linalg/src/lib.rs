@@ -109,8 +109,6 @@ pub fn fiedler_vector(g: &CsrGraph, seed: u64) -> (f64, Vec<f64>) {
 /// reports solver `"dense-jacobi"` with zero iterations and residual — it
 /// is direct to machine precision; the Lanczos path additionally records
 /// `spmv_calls` / `spmv_rows` counters from the Laplacian's SpMV tally).
-/// The Lanczos path fans out under the installed rayon pool, with
-/// bit-identical results at every fan-out.
 pub fn fiedler_vector_traced(g: &CsrGraph, seed: u64, trace: &Trace) -> (f64, Vec<f64>) {
     assert!(g.n() >= 2);
     if g.n() <= DENSE_FIEDLER_LIMIT {

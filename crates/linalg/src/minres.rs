@@ -42,8 +42,7 @@ pub struct MinresResult {
     pub iters: usize,
 }
 
-/// Solve `A x = b` for symmetric `A`. The vector kernels fan out under the
-/// installed rayon pool; results are bit-identical at every fan-out.
+/// Solve `A x = b` for symmetric `A`.
 pub fn minres<O: SymOp>(op: &O, b: &[f64], opts: &MinresOptions) -> MinresResult {
     let n = op.dim();
     assert_eq!(b.len(), n);

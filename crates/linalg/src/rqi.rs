@@ -45,9 +45,7 @@ pub struct RqiResult {
     pub outer_iters: usize,
 }
 
-/// Refine `x0` toward the Fiedler pair of `lap`. The vector kernels, inner
-/// MINRES solves and SpMV fan out under the installed rayon pool; results
-/// are bit-identical at every fan-out.
+/// Refine `x0` toward the Fiedler pair of `lap`.
 pub fn rqi_refine(lap: &Laplacian<'_>, x0: &[f64], opts: &RqiOptions) -> RqiResult {
     let n = lap.dim();
     assert_eq!(x0.len(), n);

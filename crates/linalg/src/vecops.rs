@@ -1,52 +1,31 @@
 //! Dense vector kernels used by the iterative eigensolvers, built on
 //! **deterministic chunked pairwise reductions**.
 //!
-//! The determinism contract of the rest of the workspace (bit-identical
-//! output at any thread count for a fixed seed — DESIGN.md §10) only held
-//! for integer reductions until this module; floating-point addition is
-//! not associative, so naively parallelizing `dot`/`norm` would make the
-//! eigensolvers' results depend on the fan-out. Every reduction here is
-//! therefore computed the same way regardless of thread count:
+//! Floating-point addition is not associative, so a reduction's bits
+//! depend on the order it adds in. Every reduction here adds in one fixed
+//! order, a function of the input length alone (the determinism contract,
+//! DESIGN.md §10):
 //!
-//! 1. the input is cut into fixed [`REDUCTION_CHUNK`]-element chunks
-//!    (the *data* decides the chunk layout, never the thread count);
+//! 1. the input is cut into fixed [`REDUCTION_CHUNK`]-element chunks;
 //! 2. each chunk is reduced serially (LLVM auto-vectorizes the inner
 //!    loops — these are memory-bound level-1 BLAS operations);
 //! 3. the per-chunk partials are combined by a **fixed-shape pairwise
-//!    tree** (split at `len / 2`, recurse), again independent of how many
-//!    threads produced them.
+//!    tree** (split at `len / 2`, recurse).
 //!
 //! The result differs from a naive left-to-right serial sum in the last
 //! ulps (pairwise summation also has *better* worst-case error: O(log n)
-//! vs O(n) ulp growth), but it is a pure function of the input — thread
-//! counts, pool caps, and scheduling cannot perturb it. Elementwise
-//! kernels (`axpy`, `scale`) are trivially deterministic and parallelize
-//! over disjoint ranges.
-//!
-//! Kernels take their fan-out from the installed rayon pool
-//! (`rayon::current_num_threads()`); [`with_fanout`] is how an entry point
-//! holding a `threads` setting installs one. Inputs below [`PAR_MIN_LEN`]
-//! always run inline — queueing chunks on the pool's workers and waking
-//! them costs more than the work there.
+//! vs O(n) ulp growth), but it is a pure function of the input. Every
+//! kernel runs serially on the calling thread; the installed pool reaches
+//! only the recursion forks above the eigensolvers, which [`with_fanout`]
+//! caps for an entry point holding a `threads` setting.
 
 /// Elements per reduction chunk. 4096 f64s = 32 KiB, half a typical L1 —
 /// small enough that a chunk's serial reduction stays cache-resident,
 /// large enough that the pairwise tree over partials is negligible.
 pub const REDUCTION_CHUNK: usize = 4096;
 
-/// Inputs shorter than this run serially even when a fan-out is allowed:
-/// handing chunks to pool workers costs more than reducing ~16 chunks.
-pub const PAR_MIN_LEN: usize = 1 << 16;
-
-/// Whether a kernel over `n` elements fans out: large enough to pay for
-/// the fork, and the installed pool allows more than one shard.
-#[inline]
-fn parallel(n: usize) -> bool {
-    n >= PAR_MIN_LEN && rayon::current_num_threads() > 1
-}
-
 /// Combine partials with a fixed-shape pairwise tree (split at `len/2`).
-/// The shape depends only on `p.len()`, never on the thread count.
+/// The shape depends only on `p.len()`.
 fn pairwise_sum(p: &[f64]) -> f64 {
     match p.len() {
         0 => 0.0,
@@ -59,40 +38,10 @@ fn pairwise_sum(p: &[f64]) -> f64 {
     }
 }
 
-/// Fill `partials[ci]` with `reduce_chunk(lo..hi)` for every
-/// [`REDUCTION_CHUNK`]-sized chunk of `0..n`, fanning out when the input
-/// is large enough. The chunk layout — and therefore every partial — is
-/// identical on the serial and parallel paths.
-fn chunk_partials<F>(n: usize, reduce_chunk: F) -> Vec<f64>
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
-    let nchunks = n.div_ceil(REDUCTION_CHUNK).max(1);
-    let mut partials = vec![0.0f64; nchunks];
-    let fill = |ci: usize, p: &mut f64| {
-        let lo = ci * REDUCTION_CHUNK;
-        *p = reduce_chunk(lo, (lo + REDUCTION_CHUNK).min(n));
-    };
-    if parallel(n) {
-        use rayon::prelude::*;
-        partials
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(ci, p)| fill(ci, p));
-    } else {
-        for (ci, p) in partials.iter_mut().enumerate() {
-            fill(ci, p);
-        }
-    }
-    partials
-}
-
 /// Run `f` under a fan-out cap: `threads == 0` leaves the installed pool
-/// untouched, any other value caps every parallel kernel invoked inside
-/// `f` (including nested [`rayon::join`] forks) at `threads` shards. The
-/// one place that turns a `threads` setting into an installed pool; entry
-/// points holding such a setting call it once.
+/// untouched, any other value caps the recursion forks inside `f` at
+/// `threads` threads. The one place that turns a `threads` setting into an
+/// installed pool; entry points holding such a setting call it once.
 pub fn with_fanout<R>(threads: usize, f: impl FnOnce() -> R) -> R {
     if threads == 0 {
         return f();
@@ -105,44 +54,24 @@ pub fn with_fanout<R>(threads: usize, f: impl FnOnce() -> R) -> R {
         .install(f)
 }
 
-/// Run an elementwise kernel over `y` in disjoint [`REDUCTION_CHUNK`]
-/// slices. `f(base, chunk)` gets the global offset of its chunk.
-/// Elementwise maps write disjoint ranges, so they are bit-identical at
-/// any fan-out by construction.
-fn elementwise<F>(y: &mut [f64], f: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    if parallel(y.len()) {
-        use rayon::prelude::*;
-        let mut chunks: Vec<&mut [f64]> = y.chunks_mut(REDUCTION_CHUNK).collect();
-        chunks
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(1)
-            .for_each(|(ci, ch)| f(ci * REDUCTION_CHUNK, ch));
-    } else {
-        f(0, y);
-    }
-}
-
 /// Deterministic chunked-pairwise reduction over an index space: cut
 /// `0..n` into [`REDUCTION_CHUNK`] chunks, reduce each with
 /// `reduce_chunk(lo, hi)`, combine the partials with the fixed pairwise
-/// tree. The result is a pure function of `(n, reduce_chunk)` — the
-/// installed pool only affects speed. This is the building block behind
-/// `dot`/`norm`/`sum` and the Laplacian's edge-wise Rayleigh quotient.
-pub fn chunked_reduce<F>(n: usize, reduce_chunk: F) -> f64
-where
-    F: Fn(usize, usize) -> f64 + Sync,
-{
+/// tree. The result is a pure function of `(n, reduce_chunk)`. This is
+/// the building block behind `dot`/`norm`/`sum` and the Laplacian's
+/// edge-wise Rayleigh quotient.
+pub fn chunked_reduce(n: usize, reduce_chunk: impl Fn(usize, usize) -> f64) -> f64 {
     if n == 0 {
         return 0.0;
     }
     if n <= REDUCTION_CHUNK {
         return reduce_chunk(0, n);
     }
-    pairwise_sum(&chunk_partials(n, reduce_chunk))
+    let partials: Vec<f64> = (0..n)
+        .step_by(REDUCTION_CHUNK)
+        .map(|lo| reduce_chunk(lo, (lo + REDUCTION_CHUNK).min(n)))
+        .collect();
+    pairwise_sum(&partials)
 }
 
 /// Dot product over one chunk; plain slice loop, auto-vectorized.
@@ -171,20 +100,16 @@ pub fn sum(a: &[f64]) -> f64 {
 /// `y += alpha * x` (elementwise).
 pub fn axpy(alpha: f64, x: &[f64], y: &mut [f64]) {
     debug_assert_eq!(x.len(), y.len());
-    elementwise(y, |base, ys| {
-        for (i, yi) in ys.iter_mut().enumerate() {
-            *yi += alpha * x[base + i];
-        }
-    });
+    for (yi, xi) in y.iter_mut().zip(x) {
+        *yi += alpha * xi;
+    }
 }
 
 /// `x *= alpha` (elementwise).
 pub fn scale(alpha: f64, x: &mut [f64]) {
-    elementwise(x, |_, xs| {
-        for xi in xs {
-            *xi *= alpha;
-        }
-    });
+    for xi in x {
+        *xi *= alpha;
+    }
 }
 
 /// Normalize `x` to unit norm.
@@ -226,11 +151,9 @@ pub fn deflate_constant(x: &mut [f64]) {
         return;
     }
     let mean = sum(x) / n as f64;
-    elementwise(x, |_, xs| {
-        for xi in xs {
-            *xi -= mean;
-        }
-    });
+    for xi in x {
+        *xi -= mean;
+    }
 }
 
 #[cfg(test)]
@@ -345,7 +268,7 @@ mod tests {
 
     #[test]
     fn sum_and_deflate_thread_invariant() {
-        let n = 2 * PAR_MIN_LEN + 311;
+        let n = 32 * REDUCTION_CHUNK + 311;
         let x: Vec<f64> = (0..n)
             .map(|i| ((i * 29) % 113) as f64 / 7.0 - 8.0)
             .collect();
@@ -362,7 +285,7 @@ mod tests {
 
     #[test]
     fn axpy_scale_thread_invariant_on_large_vectors() {
-        let n = PAR_MIN_LEN + 1234;
+        let n = 16 * REDUCTION_CHUNK + 1234;
         let x: Vec<f64> = (0..n).map(|i| (i % 31) as f64 * 0.25 - 3.0).collect();
         let mut y1: Vec<f64> = (0..n).map(|i| (i % 17) as f64 * 0.5).collect();
         let mut y8 = y1.clone();

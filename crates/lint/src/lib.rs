@@ -399,7 +399,7 @@ const WALLCLOCK_TOKENS: [&str; 6] = [
 
 /// Deterministic-reduction entry points whose argument lists are exempt
 /// from D2 (the sanctioned intra-chunk serial accumulation pattern).
-const REDUCE_SINKS: [&str; 3] = ["chunked_reduce", "chunk_partials", "pairwise_sum"];
+const REDUCE_SINKS: [&str; 2] = ["chunked_reduce", "pairwise_sum"];
 
 /// Scan one file's source text under the given classification.
 pub fn scan_source(source: &str, class: &FileClass, file: &Path) -> Vec<Diagnostic> {

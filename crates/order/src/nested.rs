@@ -37,10 +37,10 @@ pub struct NdConfig {
     /// Apply FM-style separator refinement after the minimum vertex cover
     /// (see [`crate::seprefine`]).
     pub refine_separator: bool,
-    /// Ignored. The recursion forks and the bisector's kernels use the
-    /// pool the caller installed (`ThreadPool::install`); orderings are
-    /// bit-identical at every pool size. The field stays only for callers
-    /// that still set it.
+    /// Ignored. The recursion forks use the pool the caller installed
+    /// (`ThreadPool::install`, the CLI's `--threads`); the bisector's
+    /// kernels are serial, and orderings are bit-identical at every pool
+    /// size. The field stays only for callers that still set it.
     pub threads: usize,
 }
 

@@ -1,4 +1,4 @@
-//! Differential determinism suite for the parallel spectral stack.
+//! Differential determinism suite for the spectral stack.
 //!
 //! PR 2/3 established the determinism contract for the integer kernels
 //! (coarsening, uncoarsening); this suite extends it to floating point:
@@ -7,7 +7,8 @@
 //! Chaco-ML baseline are **bit-identical** for every thread count. The
 //! guarantee rests on the deterministic chunked-pairwise reductions in
 //! `mlgp_linalg::vecops` (fixed 4k-element chunk layout + fixed-shape
-//! combination tree) and the row-sharded SpMV — see DESIGN.md §10.
+//! combination tree), the serial kernels below the recursion forks, and
+//! the forks' independence — see DESIGN.md §10.
 //!
 //! Mirrors `crates/part/tests/determinism.rs`: threads {1, 2, 8} plus an
 //! optional `MLGP_THREADS` from the CI thread-matrix job, each run under a
@@ -66,9 +67,9 @@ fn lanczos_fiedler_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn lanczos_above_parallel_spmv_threshold_is_thread_invariant() {
-    // ~25.6k vertices: the row-sharded SpMV branch actually engages
-    // (PAR_APPLY_THRESHOLD = 20k). Capped steps keep the test quick —
-    // convergence is irrelevant here, only bit-identity.
+    // ~25.6k vertices: large enough that a kernel path chosen by size and
+    // pool would run here. Capped steps keep the test quick — convergence
+    // is irrelevant here, only bit-identity.
     let g = tri_mesh2d(160, 160, 7);
     let opts = LanczosOptions {
         max_steps: 25,
@@ -83,7 +84,7 @@ fn lanczos_above_parallel_spmv_threshold_is_thread_invariant() {
         assert_eq!(
             bits(&r.vector),
             bits(&reference.vector),
-            "sharded-SpMV Fiedler vector differs at {t} threads"
+            "Fiedler vector differs at {t} threads"
         );
     }
 }
@@ -129,8 +130,8 @@ fn msb_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn chaco_ml_is_bit_identical_across_thread_counts() {
-    // Chaco-ML routes through the parallel trial fan-out (spectral initial
-    // partitioning on the coarsest graph) plus KL refinement.
+    // Chaco-ML routes through the initial-partition trials (spectral
+    // initial partitioning on the coarsest graph) plus KL refinement.
     let g = tri_mesh2d(36, 36, 5);
     let run = |t| with_fanout(t, || chaco_ml_bisect(&g, &ChacoMlConfig::default()));
     let reference = run(1);

@@ -4,11 +4,9 @@
 use crate::config::MlConfig;
 use crate::contract::contract_threads;
 use crate::matching::compute_matching_threads;
-use crate::metrics::MIN_PARALLEL_N;
 use mlgp_graph::{CsrGraph, Vid};
 use mlgp_trace::Trace;
 use rand::Rng;
-use rayon::prelude::*;
 
 /// The multilevel hierarchy `G_0 ⊐ G_1 ⊐ … ⊐ G_m`.
 ///
@@ -34,18 +32,14 @@ impl Hierarchy {
         self.graphs.last().unwrap()
     }
 
-    /// Project a partition of level `i + 1` onto level `i`. Each fine
-    /// vertex reads exactly one coarse label, so the parallel scatter is
-    /// trivially deterministic; small levels stay on one chunk.
+    /// Project a partition of level `i + 1` onto level `i`: each fine
+    /// vertex reads the label of its coarse vertex.
     pub fn project(&self, level: usize, coarse_part: &[u8]) -> Vec<u8> {
-        let cmap = &self.cmaps[level];
         assert_eq!(coarse_part.len(), self.graphs[level + 1].n());
-        let mut fine = vec![0u8; cmap.len()];
-        fine.par_iter_mut()
-            .enumerate()
-            .with_min_len(MIN_PARALLEL_N)
-            .for_each(|(v, slot)| *slot = coarse_part[cmap[v] as usize]);
-        fine
+        self.cmaps[level]
+            .iter()
+            .map(|&c| coarse_part[c as usize])
+            .collect()
     }
 }
 

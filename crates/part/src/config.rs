@@ -152,9 +152,9 @@ pub struct MlConfig {
     pub hybrid_boundary_frac: f64,
     /// RNG seed (the paper fixes its seed for all experiments).
     pub seed: u64,
-    /// Ignored. Every per-level kernel is serial; the installed pool
-    /// (`ThreadPool::install`, the CLI's `--threads`) reaches the recursion
-    /// forks, the initial-partition trials and the chunked flat loops, and
+    /// Ignored. Every kernel is serial; the installed pool
+    /// (`ThreadPool::install`, the CLI's `--threads`) reaches only the
+    /// recursion forks (`kway.rs`, and `nested.rs` in `mlgp-order`), and
     /// results are bit-identical under any pool. The field stays only for
     /// callers that still set it.
     pub threads: usize,

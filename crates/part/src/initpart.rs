@@ -5,18 +5,16 @@
 //! spectral bisection. GGP/GGGP run several trials from random seeds and
 //! keep the best cut; the paper found GGGP with 5 trials consistently best.
 //!
-//! ## Trial fan-out
+//! ## Trials
 //!
-//! Trials are embarrassingly parallel and run concurrently. Each trial `t`
-//! owns an independent RNG stream seeded by a SplitMix64 mix of `(base,
-//! t)`, where `base` is a **single** `next_u64` draw from the caller's RNG
-//! — so the shared RNG advances by exactly one draw regardless of the
-//! trial count, and trial `t` produces the same start vertex no matter how
-//! many siblings run or in what order they finish. The winner is selected
-//! by the strict total order *(balanced first, then lower cut, then lower
-//! trial index)*, which makes the reduction independent of evaluation
-//! order and therefore of the thread count. The trials fan out over the
-//! pool the caller installed; no thread count is passed in.
+//! Each trial `t` owns an independent RNG stream seeded by a SplitMix64 mix
+//! of `(base, t)`, where `base` is a **single** `next_u64` draw from the
+//! caller's RNG — so the shared RNG advances by exactly one draw regardless
+//! of the trial count, and trial `t` produces the same start vertex however
+//! many siblings run. The trials run one after another, and the winner is
+//! the least under the strict total order *(balanced first, then lower cut,
+//! then lower trial index)*. The coarsest graph is small, so the trials
+//! stay on the calling thread; parallelism lives at the recursion forks.
 
 use crate::config::InitialPartitioning;
 use crate::metrics::edge_cut_bisection;
@@ -44,8 +42,8 @@ pub fn initial_partition<R: Rng>(
 
 /// [`initial_partition`] with telemetry: each growing trial bumps the
 /// `init_trial` counter and the spectral scheme records an `eigen` event
-/// per Fiedler solve. `_threads` is ignored (the trials fan out over the
-/// installed pool), and kept only for callers that still pass one.
+/// per Fiedler solve. `_threads` is ignored (the trials run serially), and
+/// kept only for callers that still pass one.
 pub fn initial_partition_traced<R: Rng>(
     g: &CsrGraph,
     bt: &BalanceTargets,
@@ -97,16 +95,10 @@ impl Trial {
     fn key(&self) -> (bool, Wgt, usize) {
         (!self.balanced, self.cut, self.index)
     }
-
-    /// Strict total order — total ⇒ the parallel reduction commutes.
-    fn beats(&self, other: &Trial) -> bool {
-        self.key() < other.key()
-    }
 }
 
-/// Run `grow` from `trials` independent random starts (concurrently when
-/// the fan-out allows), keep the winner under the strict
-/// (balanced, cut, index) key.
+/// Run `grow` from `trials` independent random starts and keep the winner
+/// under the strict (balanced, cut, index) key.
 fn best_of(
     g: &CsrGraph,
     bt: &BalanceTargets,
@@ -131,19 +123,8 @@ fn best_of(
             part,
         }
     };
-    let pick = |a: Option<Trial>, b: Option<Trial>| -> Option<Trial> {
-        match (a, b) {
-            (Some(x), Some(y)) => Some(if y.beats(&x) { y } else { x }),
-            (x, None) | (None, x) => x,
-        }
-    };
-    use rayon::prelude::*;
-    let best = (0..trials)
-        .into_par_iter()
-        .with_min_len(1)
-        .map(|t| Some(run_trial(t)))
-        .reduce(|| None, pick);
-    // LINT: allow(panic, trials is clamped to max(1) above, so the reduction always yields Some)
+    let best = (0..trials).map(run_trial).min_by_key(Trial::key);
+    // LINT: allow(panic, trials is clamped to max(1) above, so at least one trial ran)
     best.expect("at least one trial ran").part
 }
 

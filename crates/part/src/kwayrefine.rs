@@ -45,11 +45,10 @@
 
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
-use crate::metrics::{edge_cut_kway, part_weights, MIN_PARALLEL_N};
+use crate::metrics::{edge_cut_kway, part_weights};
 use mlgp_graph::rng::{random_order, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use mlgp_trace::{Event, Trace, SPAN_REFINE};
-use rayon::prelude::*;
 
 /// Sentinel for "no proposal this round".
 const NONE: u32 = u32::MAX;
@@ -161,22 +160,15 @@ pub fn kway_refine_stats(
     let mut prop_gain: Vec<Wgt> = vec![0; n];
     // Neighbors of each vertex in another part: only boundary vertices
     // (`external > 0`) can propose. The apply loop keeps it current.
-    let mut external = vec![0u32; n];
-    {
-        let part_ro: &[u32] = part;
-        external
-            .par_iter_mut()
-            .enumerate()
-            .with_min_len(MIN_PARALLEL_N)
-            .for_each(|(v, ext)| {
-                let home = part_ro[v];
-                *ext = g
-                    .neighbors(v as Vid)
-                    .iter()
-                    .filter(|&&u| part_ro[u as usize] != home)
-                    .count() as u32;
-            });
-    }
+    let mut external: Vec<u32> = (0..n)
+        .map(|v| {
+            let home = part[v];
+            g.neighbors(v as Vid)
+                .iter()
+                .filter(|&&u| part[u as usize] != home)
+                .count() as u32
+        })
+        .collect();
 
     for round in 0..opts.max_passes.max(1) {
         // Propose: best legal move per boundary vertex against the frozen

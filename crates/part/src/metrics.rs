@@ -1,76 +1,42 @@
 //! Partition quality metrics: edge-cut, balance, boundary size.
 //!
-//! The hot metrics (`edge_cut_*`, [`part_weights`], [`boundary_count`])
-//! reduce in parallel over contiguous vertex ranges of at least
-//! `MIN_PARALLEL_N` vertices, so a smaller graph runs as one chunk. Every
-//! reduction sums integers — an associative, commutative fold — and the
-//! shim combines chunk partials in chunk order, so the results are exact
-//! and identical for any installed pool (`ThreadPool::install`). The same
-//! floor gates the crate's other flat chunked loops (projection, boundary
-//! scans, the k-way sweep's boundary counts), which, like these, keep no
-//! per-chunk state beyond the fold.
+//! Every metric is one serial pass over the vertices. The partitioner's
+//! only parallelism is at the recursion forks (`kway.rs`, and `nested.rs`
+//! in `mlgp-order`), so a metric runs on whichever thread asked for it.
 
 use mlgp_graph::{CsrGraph, Vid, Wgt};
-use rayon::prelude::*;
-
-/// Below this vertex count a chunked loop runs as one chunk: handing
-/// chunks to pool workers would cost more than it saves.
-pub(crate) const MIN_PARALLEL_N: usize = 8192;
 
 /// Edge-cut of a 2-way partition given as 0/1 labels.
 pub fn edge_cut_bisection(g: &CsrGraph, part: &[u8]) -> Wgt {
-    assert_eq!(part.len(), g.n());
-    let cut_from = |v: Vid| -> Wgt {
-        g.adj(v)
-            .filter(|&(u, _)| u > v && part[u as usize] != part[v as usize])
-            .map(|(_, w)| w)
-            .sum()
-    };
-    (0..g.n())
-        .into_par_iter()
-        .with_min_len(MIN_PARALLEL_N)
-        .map(|v| cut_from(v as Vid))
-        .sum()
+    edge_cut(g, part)
 }
 
 /// Edge-cut of a k-way partition given as arbitrary labels.
 pub fn edge_cut_kway(g: &CsrGraph, part: &[u32]) -> Wgt {
+    edge_cut(g, part)
+}
+
+/// Summed weight of the edges whose endpoints carry different labels.
+fn edge_cut<L: PartialEq>(g: &CsrGraph, part: &[L]) -> Wgt {
     assert_eq!(part.len(), g.n());
-    let cut_from = |v: Vid| -> Wgt {
-        g.adj(v)
-            .filter(|&(u, _)| u > v && part[u as usize] != part[v as usize])
-            .map(|(_, w)| w)
-            .sum()
-    };
-    (0..g.n())
-        .into_par_iter()
-        .with_min_len(MIN_PARALLEL_N)
-        .map(|v| cut_from(v as Vid))
+    (0..g.n() as Vid)
+        .map(|v| {
+            g.adj(v)
+                .filter(|&(u, _)| u > v && part[u as usize] != part[v as usize])
+                .map(|(_, w)| w)
+                .sum::<Wgt>()
+        })
         .sum()
 }
 
 /// Per-part vertex weights of a k-way partition.
 pub fn part_weights(g: &CsrGraph, part: &[u32], nparts: usize) -> Vec<Wgt> {
     assert_eq!(part.len(), g.n());
-    (0..g.n())
-        .into_par_iter()
-        .with_min_len(MIN_PARALLEL_N)
-        .fold(
-            || vec![0 as Wgt; nparts],
-            |mut acc, v| {
-                acc[part[v] as usize] += g.vwgt()[v];
-                acc
-            },
-        )
-        .reduce(
-            || vec![0 as Wgt; nparts],
-            |mut a, b| {
-                for (x, y) in a.iter_mut().zip(b) {
-                    *x += y;
-                }
-                a
-            },
-        )
+    let mut w = vec![0 as Wgt; nparts];
+    for (&p, &vw) in part.iter().zip(g.vwgt()) {
+        w[p as usize] += vw;
+    }
+    w
 }
 
 /// Load imbalance of a k-way partition: `max_i w_i / (W/k)`; 1.0 is perfect.
@@ -87,14 +53,12 @@ pub fn imbalance(g: &CsrGraph, part: &[u32], nparts: usize) -> f64 {
 /// Number of boundary vertices (vertices with at least one cut edge).
 pub fn boundary_count(g: &CsrGraph, part: &[u32]) -> usize {
     (0..g.n())
-        .into_par_iter()
-        .with_min_len(MIN_PARALLEL_N)
-        .map(|v| {
+        .filter(|&v| {
             g.neighbors(v as Vid)
                 .iter()
-                .any(|&u| part[u as usize] != part[v]) as usize
+                .any(|&u| part[u as usize] != part[v])
         })
-        .sum()
+        .count()
 }
 
 /// Total communication volume of a k-way partition: for each vertex, the

@@ -112,9 +112,8 @@ pub fn fm_pass_stats(
     // moved, or rejected for balance.
     let mut locked = vec![false; n];
     let mut queues = [GainQueue::with_capacity(64), GainQueue::with_capacity(64)];
-    // The eligible set comes from the parallel boundary scan; it preserves
-    // ascending vertex order, so the queues fill exactly as the serial
-    // `0..n` filter would.
+    // The eligible set is in ascending vertex order, which fixes the order
+    // the queues fill in.
     for v in state.movable_vertices(boundary_only) {
         queues[state.part[v as usize] as usize].push(v, state.gain(v));
     }

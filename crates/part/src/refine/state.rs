@@ -7,8 +7,8 @@
 //! refinement algorithms operate on this state through `move_vertex`, which
 //! maintains every quantity in `O(deg v)`.
 //!
-//! Building the state is one serial `O(n + m)` pass over the vertices;
-//! parallelism lives at the recursion forks above it.
+//! Building, projecting and scanning the state are serial passes over the
+//! vertices; the only parallelism is at the recursion forks above it.
 //!
 //! # Projection
 //!
@@ -24,9 +24,7 @@
 //! scan them. The result equals [`BisectState::new`] on the projected
 //! partition, field by field.
 
-use crate::metrics::MIN_PARALLEL_N;
 use mlgp_graph::{CsrGraph, Vid, Wgt};
-use rayon::prelude::*;
 
 /// Mutable state of a 2-way partition under refinement.
 #[derive(Debug)]
@@ -88,11 +86,7 @@ impl<'g> BisectState<'g> {
     /// "Projection"). `coarse` must be consistent (see [`Self::consistent`]).
     pub fn project(fine: &'g CsrGraph, coarse: &BisectState<'_>, cmap: &[Vid]) -> Self {
         assert_eq!(cmap.len(), fine.n());
-        let mut part = vec![0u8; fine.n()];
-        part.par_iter_mut()
-            .enumerate()
-            .with_min_len(MIN_PARALLEL_N)
-            .for_each(|(v, slot)| *slot = coarse.part[cmap[v] as usize]);
+        let part: Vec<u8> = cmap.iter().map(|&c| coarse.part[c as usize]).collect();
         let (ed, id, _, _) = degrees(fine.n(), |v, _, _| {
             if coarse.ed[cmap[v] as usize] == 0 {
                 return (0, fine.edge_weights(v as Vid).iter().sum());
@@ -136,33 +130,19 @@ impl<'g> BisectState<'g> {
         self.ed[v as usize] > 0 || self.g.degree(v) == 0
     }
 
-    /// Number of boundary vertices (parallel chunk-ordered sum).
+    /// Number of boundary vertices.
     pub fn boundary_count(&self) -> usize {
-        (0..self.g.n())
-            .into_par_iter()
-            .with_min_len(MIN_PARALLEL_N)
-            .map(|v| self.is_boundary(v as Vid) as usize)
-            .sum()
+        (0..self.g.n() as Vid)
+            .filter(|&v| self.is_boundary(v))
+            .count()
     }
 
     /// Vertices eligible for refinement seeding — all of them, or only the
-    /// boundary — in ascending vertex order. The scan runs as a parallel
-    /// fold whose chunk results are concatenated in chunk order, so the
-    /// list is identical to the serial `0..n` filter at any thread count.
+    /// boundary — in ascending vertex order.
     pub fn movable_vertices(&self, boundary_only: bool) -> Vec<Vid> {
-        (0..self.g.n())
-            .into_par_iter()
-            .with_min_len(MIN_PARALLEL_N)
-            .fold(Vec::new, |mut acc: Vec<Vid>, v| {
-                if !boundary_only || self.is_boundary(v as Vid) {
-                    acc.push(v as Vid);
-                }
-                acc
-            })
-            .reduce(Vec::new, |mut a, mut b| {
-                a.append(&mut b);
-                a
-            })
+        (0..self.g.n() as Vid)
+            .filter(|&v| !boundary_only || self.is_boundary(v))
+            .collect()
     }
 
     /// Move `v` to the other side, updating partition, weights, degrees and

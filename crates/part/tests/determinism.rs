@@ -4,12 +4,11 @@
 //! The determinism contract (see `matching.rs` and DESIGN.md §10): with a
 //! fixed seed, the full coarsening hierarchy, the final bisection, and the
 //! k-way partition are **bit-identical** for every installed pool. Every
-//! per-level kernel is serial; the pool reaches the recursion forks, the
-//! initial-partition trials, and the chunked flat loops (projection,
-//! boundary scans, metrics) on levels of at least 8192 vertices. So these
-//! tests run on ~20k-vertex graphs, whose levels 0 and 1 both take the
-//! chunked path, under pool caps of 1, 2 and 8 threads, and diff the
-//! complete outputs.
+//! kernel below the recursion is serial; the pool reaches only the forks
+//! of the k-way recursion. These tests run on ~20k-vertex graphs under
+//! pool caps of 1, 2 and 8 threads and diff the complete outputs: the
+//! single-bisection tests check that no kernel reads the pool, the k-way
+//! tests that the forks do not change the result.
 //!
 //! The `MLGP_THREADS` environment variable (set by the CI thread-matrix
 //! job) adds one extra pool cap to the sweep.
@@ -38,9 +37,9 @@ fn thread_counts() -> Vec<usize> {
     counts
 }
 
-/// A 21,000-vertex mesh: its HEM level 1 still has more than 8192
-/// vertices, so two levels take the chunked loops under any pool wider
-/// than one thread.
+/// A 21,000-vertex mesh: large enough that an 8-way partition forks its
+/// top subproblems onto the pool's workers under any pool wider than one
+/// thread.
 fn mesh() -> CsrGraph {
     tri_mesh2d(150, 140, 11)
 }
@@ -113,8 +112,8 @@ fn bisection_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn kway_is_bit_identical_across_thread_counts() {
-    // The k-way recursion adds a second layer of parallelism (rayon::join
-    // over subproblems); the kernels must stay deterministic under it.
+    // The k-way recursion forks its subproblems onto the pool; the result
+    // must not depend on which thread ran which half.
     let g = mesh();
     let cfg = cfg_with(MatchingScheme::HeavyEdge);
     let reference = with_fanout(1, || kway_partition(&g, 8, &cfg));
@@ -152,8 +151,7 @@ fn refined_pipeline_is_bit_identical_across_thread_counts() {
 #[test]
 fn kway_refine_kernel_is_bit_identical_across_thread_counts() {
     // The round-based sweep in isolation, on a fixed damaged partition of
-    // a graph above the size floor, so its boundary counts take the
-    // chunked loop under every pool wider than one thread.
+    // the mesh: a serial kernel, so no pool may change it.
     let g = mesh();
     let base = with_fanout(1, || {
         kway_partition(&g, 8, &cfg_with(MatchingScheme::HeavyEdge))

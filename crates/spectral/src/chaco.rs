@@ -31,9 +31,8 @@ impl Default for ChacoMlConfig {
     }
 }
 
-/// Chaco-ML bisection with explicit weight targets. Every kernel fans out
-/// under the installed rayon pool; the bisection is bit-identical at every
-/// fan-out.
+/// Chaco-ML bisection with explicit weight targets. Every kernel is
+/// serial; the bisection is bit-identical under any pool.
 pub fn chaco_ml_bisect_targets(g: &CsrGraph, cfg: &ChacoMlConfig, target: [Wgt; 2]) -> Vec<u8> {
     let n = g.n();
     if n == 0 {

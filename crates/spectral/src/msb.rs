@@ -49,8 +49,8 @@ impl Default for MsbConfig {
 
 /// Compute the Fiedler vector of `g` with the multilevel algorithm
 /// (coarsest dense solve + per-level interpolation and RQI refinement).
-/// Every kernel fans out under the installed rayon pool; the vector is
-/// bit-identical at every fan-out (see `mlgp_linalg::vecops`).
+/// Every kernel is serial, and the float reductions have a fixed shape, so
+/// the vector is bit-identical under any pool (see `mlgp_linalg::vecops`).
 pub fn msb_fiedler(g: &CsrGraph, cfg: &MsbConfig) -> Vec<f64> {
     assert!(g.n() >= 2);
     // RM coarsening, reusing the partitioner's coarsening machinery.

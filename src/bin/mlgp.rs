@@ -6,6 +6,7 @@
 //!                            [--method ml|ml-refined|msb|msb-kl|chaco] [--seed N]
 //!                            [--out FILE] [--threads N]
 //! mlgp order     <graph>     [--method mlnd|mmd|snd] [--stats] [--trace FILE] [--out FILE]
+//!                            [--threads N]
 //! mlgp gen       <key> <out> [--scale F]   # write a suite graph (.mtx → MatrixMarket)
 //! mlgp info      <graph>
 //! ```
@@ -55,6 +56,7 @@ USAGE:
                              [--method ml|ml-refined|msb|msb-kl|chaco] [--seed N]
                              [--out FILE] [--threads N]
   mlgp order     <graph>     [--method mlnd|mmd|snd] [--stats] [--trace FILE] [--out FILE]
+                             [--threads N]
   mlgp gen       <key> <out> [--scale F]
   mlgp info      <graph>
 
@@ -65,8 +67,8 @@ DESIGN.md, e.g. gen:4ELT, gen:BC31@0.1). `gen` writes MatrixMarket when
 --stats prints a phase-tree timing summary (CTime/UTime vocabulary) to
 stderr; --trace FILE writes JSONL telemetry; --report-json prints the
 partition quality report as one JSON object on stdout. --threads N caps
-every partitioning method at N workers (0 = auto); the partition is
-bit-identical for every N. --method ml is multilevel recursive bisection;
+partition and order at N workers (0 = auto); the output is bit-identical
+for every N. --method ml is multilevel recursive bisection;
 ml-refined follows it with one k-way refinement sweep over the whole graph.
 ";
 
@@ -75,15 +77,12 @@ type ParsedArgs<'a> = (Vec<&'a str>, Vec<(&'a str, &'a str)>);
 
 /// Parse `--flag value` style options out of an argument list; returns the
 /// positional arguments. Options named in `values` must be followed by a
-/// value. Those named in `optional` take the next argument as their value
-/// unless it is another option. Those named in `flags` are boolean: they
-/// take the next argument only when it is `true` or `false`, so a flag
-/// never swallows a positional argument. A bare optional-value option or
-/// flag reads as `true`. Any other option is an error.
+/// value. Those named in `flags` are boolean: they take the next argument
+/// only when it is `true` or `false`, so a flag never swallows a positional
+/// argument, and a bare flag reads as `true`. Any other option is an error.
 fn split_opts<'a>(
     args: &'a [String],
     values: &[&str],
-    optional: &[&str],
     flags: &[&str],
 ) -> Result<ParsedArgs<'a>, String> {
     let mut pos = Vec::new();
@@ -93,7 +92,7 @@ fn split_opts<'a>(
         let a = args[i].as_str();
         if let Some(name) = a.strip_prefix("--") {
             let is_flag = flags.contains(&name);
-            if !is_flag && !values.contains(&name) && !optional.contains(&name) {
+            if !is_flag && !values.contains(&name) {
                 return Err(format!("unknown option `{a}`\n{USAGE}"));
             }
             match args.get(i + 1).map(String::as_str) {
@@ -105,13 +104,11 @@ fn split_opts<'a>(
                     opts.push((name, v));
                     i += 2;
                 }
-                _ if values.contains(&name) => {
-                    return Err(format!("option `{a}` needs a value"));
-                }
-                _ => {
+                _ if is_flag => {
                     opts.push((name, "true"));
                     i += 1;
                 }
+                _ => return Err(format!("option `{a}` needs a value")),
             }
         } else {
             pos.push(a);
@@ -143,7 +140,7 @@ fn load_graph(spec: &str) -> Result<CsrGraph, String> {
 /// Records the shared metadata so exports are self-describing.
 fn make_trace(opts: &[(&str, &str)], g: &CsrGraph, spec: &str) -> Trace {
     let wants_stats = opt(opts, "stats").is_some_and(|v| v != "false");
-    let wants_file = trace_path(opts).is_some();
+    let wants_file = opt(opts, "trace").is_some();
     if !wants_stats && !wants_file {
         return Trace::disabled();
     }
@@ -154,12 +151,6 @@ fn make_trace(opts: &[(&str, &str)], g: &CsrGraph, spec: &str) -> Trace {
     trace
 }
 
-/// The `--trace FILE` value, treating a bare `--trace` as an error-free
-/// no-file request (boolean form enables collection without the export).
-fn trace_path<'a>(opts: &[(&'a str, &'a str)]) -> Option<&'a str> {
-    opt(opts, "trace").filter(|v| *v != "true" && *v != "false")
-}
-
 /// Emit the collected telemetry: tree summary to stderr (`--stats`), JSONL
 /// to the `--trace` file.
 fn emit_trace(trace: &Trace, opts: &[(&str, &str)]) -> Result<(), String> {
@@ -168,7 +159,7 @@ fn emit_trace(trace: &Trace, opts: &[(&str, &str)]) -> Result<(), String> {
             eprint!("{tree}");
         }
     }
-    if let Some(path) = trace_path(opts) {
+    if let Some(path) = opt(opts, "trace") {
         let jsonl = trace.to_jsonl().unwrap_or_default();
         std::fs::write(path, jsonl).map_err(|e| format!("writing trace {path}: {e}"))?;
         eprintln!("trace written to {path}");
@@ -176,29 +167,42 @@ fn emit_trace(trace: &Trace, opts: &[(&str, &str)]) -> Result<(), String> {
     Ok(())
 }
 
+/// Run a command body under the pool `--threads N` asks for (0, the
+/// default, means every core), so N bounds the workers of the whole
+/// command; the body gets N for its trace metadata.
+fn with_threads(
+    opts: &[(&str, &str)],
+    body: impl FnOnce(usize) -> Result<(), String>,
+) -> Result<(), String> {
+    let threads: usize = opt(opts, "threads")
+        .map(|s| s.parse().map_err(|_| format!("bad thread count `{s}`")))
+        .transpose()?
+        .unwrap_or(0);
+    mlgp::linalg::with_fanout(threads, || body(threads))
+}
+
 fn cmd_partition(args: &[String]) -> Result<(), String> {
     let (pos, opts) = split_opts(
         args,
-        &["method", "seed", "out", "threads"],
-        &["trace"],
+        &["method", "seed", "out", "threads", "trace"],
         &["report", "report-json", "stats"],
     )?;
-    let [spec, k] = pos.as_slice() else {
+    with_threads(&opts, |threads| partition(&pos, &opts, threads))
+}
+
+fn partition(pos: &[&str], opts: &[(&str, &str)], threads: usize) -> Result<(), String> {
+    let [spec, k] = pos else {
         return Err(format!("partition needs <graph> <k>\n{USAGE}"));
     };
     let k: usize = k.parse().map_err(|_| format!("bad k `{k}`"))?;
     if k < 1 {
         return Err("k must be >= 1".into());
     }
-    let method = opt(&opts, "method").unwrap_or("ml");
-    let seed: u64 = opt(&opts, "seed")
+    let method = opt(opts, "method").unwrap_or("ml");
+    let seed: u64 = opt(opts, "seed")
         .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
         .transpose()?
         .unwrap_or(4242);
-    let threads: usize = opt(&opts, "threads")
-        .map(|s| s.parse().map_err(|_| format!("bad thread count `{s}`")))
-        .transpose()?
-        .unwrap_or(0);
     let g = load_graph(spec)?;
     eprintln!(
         "graph: {} vertices, {} edges (avg degree {:.1})",
@@ -206,16 +210,14 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         g.m(),
         g.avg_degree()
     );
-    let trace = make_trace(&opts, &g, spec);
+    let trace = make_trace(opts, &g, spec);
     trace.set_meta("command", "partition");
     trace.set_meta("method", method);
     trace.set_meta("k", k);
     trace.set_meta("seed", seed);
     trace.set_meta("threads", threads);
     let t = Instant::now();
-    // An explicit --threads N installs one pool around the whole dispatch,
-    // so N bounds total workers end to end for every method.
-    let part: Vec<u32> = mlgp::linalg::with_fanout(threads, || match method {
+    let part: Vec<u32> = match method {
         "ml" => Ok(mlgp::part::kway_partition_traced(
             &g,
             k,
@@ -263,7 +265,7 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         other => Err(format!(
             "unknown method `{other}` (ml|ml-refined|msb|msb-kl|chaco)"
         )),
-    })?;
+    }?;
     let elapsed = t.elapsed();
     let cut = edge_cut_kway(&g, &part);
     trace.set_meta("edge_cut", cut);
@@ -272,17 +274,17 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
         imbalance(&g, &part, k),
         elapsed.as_secs_f64()
     );
-    if opt(&opts, "report").is_some_and(|v| v != "false") {
+    if opt(opts, "report").is_some_and(|v| v != "false") {
         println!("{}", mlgp_part::PartitionReport::new(&g, &part, k));
     }
-    if opt(&opts, "report-json").is_some_and(|v| v != "false") {
+    if opt(opts, "report-json").is_some_and(|v| v != "false") {
         println!(
             "{}",
             mlgp_part::PartitionReport::new(&g, &part, k).to_json()
         );
     }
-    emit_trace(&trace, &opts)?;
-    if let Some(out) = opt(&opts, "out") {
+    emit_trace(&trace, opts)?;
+    if let Some(out) = opt(opts, "out") {
         let body: String = part.iter().map(|p| format!("{p}\n")).collect();
         std::fs::write(out, body).map_err(|e| e.to_string())?;
         eprintln!("partition vector written to {out}");
@@ -291,16 +293,21 @@ fn cmd_partition(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_order(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = split_opts(args, &["method", "out"], &["trace"], &["stats"])?;
-    let [spec] = pos.as_slice() else {
+    let (pos, opts) = split_opts(args, &["method", "out", "threads", "trace"], &["stats"])?;
+    with_threads(&opts, |threads| order(&pos, &opts, threads))
+}
+
+fn order(pos: &[&str], opts: &[(&str, &str)], threads: usize) -> Result<(), String> {
+    let [spec] = pos else {
         return Err(format!("order needs <graph>\n{USAGE}"));
     };
-    let method = opt(&opts, "method").unwrap_or("mlnd");
+    let method = opt(opts, "method").unwrap_or("mlnd");
     let g = load_graph(spec)?;
     eprintln!("graph: {} vertices, {} edges", g.n(), g.m());
-    let trace = make_trace(&opts, &g, spec);
+    let trace = make_trace(opts, &g, spec);
     trace.set_meta("command", "order");
     trace.set_meta("method", method);
+    trace.set_meta("threads", threads);
     let t = Instant::now();
     let perm = match method {
         "mlnd" => mlgp::order::nested_dissection_traced(&g, &mlgp::order::NdConfig::mlnd(), &trace),
@@ -317,8 +324,8 @@ fn cmd_order(args: &[String]) -> Result<(), String> {
         stats.height,
         elapsed.as_secs_f64()
     );
-    emit_trace(&trace, &opts)?;
-    if let Some(out) = opt(&opts, "out") {
+    emit_trace(&trace, opts)?;
+    if let Some(out) = opt(opts, "out") {
         let body: String = perm.perm().iter().map(|p| format!("{p}\n")).collect();
         std::fs::write(out, body).map_err(|e| e.to_string())?;
         eprintln!("permutation written to {out}");
@@ -327,7 +334,7 @@ fn cmd_order(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), String> {
-    let (pos, opts) = split_opts(args, &["scale"], &[], &[])?;
+    let (pos, opts) = split_opts(args, &["scale"], &[])?;
     let [key, out] = pos.as_slice() else {
         return Err(format!("gen needs <key> <out>\n{USAGE}"));
     };
@@ -348,7 +355,7 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
 }
 
 fn cmd_info(args: &[String]) -> Result<(), String> {
-    let (pos, _) = split_opts(args, &[], &[], &[])?;
+    let (pos, _) = split_opts(args, &[], &[])?;
     let [spec] = pos.as_slice() else {
         return Err(format!("info needs <graph>\n{USAGE}"));
     };

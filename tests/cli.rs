@@ -235,7 +235,7 @@ fn unknown_options_are_rejected_per_subcommand() {
     std::fs::create_dir_all(&dir).unwrap();
     let cases: [&[&str]; 5] = [
         &["partition", "gen:LS34@0.2", "2", "--thraeds", "2"],
-        &["order", "gen:LS34@0.2", "--threads", "2"],
+        &["order", "gen:LS34@0.2", "--report"],
         &["order", "gen:LS34@0.2", "--seed", "3"],
         &["gen", "BSP10", "x.graph", "--report"],
         &["info", "gen:LS34@0.2", "--stats"],
@@ -255,14 +255,18 @@ fn unknown_options_are_rejected_per_subcommand() {
 fn value_options_without_a_value_are_rejected() {
     let dir = std::env::temp_dir().join(format!("mlgp-cli-novalue-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let cases: [&[&str]; 8] = [
+    let cases: [&[&str]; 12] = [
         &["partition", "gen:LS34@0.2", "2", "--out"],
         &["partition", "gen:LS34@0.2", "2", "--out", "--stats"],
         &["partition", "gen:LS34@0.2", "2", "--seed"],
         &["partition", "gen:LS34@0.2", "2", "--method"],
         &["partition", "gen:LS34@0.2", "2", "--threads"],
+        &["partition", "gen:LS34@0.2", "2", "--trace"],
+        &["partition", "gen:LS34@0.2", "2", "--trace", "--stats"],
         &["order", "gen:LS34@0.2", "--out"],
         &["order", "gen:LS34@0.2", "--method"],
+        &["order", "gen:LS34@0.2", "--threads"],
+        &["order", "gen:LS34@0.2", "--trace", "--stats"],
         &["gen", "BSP10", "x.graph", "--scale"],
     ];
     for args in cases {
@@ -278,14 +282,7 @@ fn value_options_without_a_value_are_rejected() {
 #[test]
 fn bare_trace_and_boolean_flags_still_work() {
     for args in [
-        &[
-            "partition",
-            "gen:LS34@0.2",
-            "2",
-            "--trace",
-            "--stats",
-            "--report",
-        ][..],
+        &["partition", "gen:LS34@0.2", "2", "--stats", "--report"][..],
         &[
             "partition",
             "gen:LS34@0.2",
@@ -295,7 +292,7 @@ fn bare_trace_and_boolean_flags_still_work() {
             "--report-json",
             "false",
         ],
-        &["order", "gen:LS34@0.2", "--trace", "--stats"],
+        &["order", "gen:LS34@0.2", "--stats"],
     ] {
         let out = mlgp().args(args).output().unwrap();
         assert!(
@@ -323,6 +320,28 @@ fn boolean_flags_leave_the_next_positional_alone() {
         let stdout = String::from_utf8_lossy(&out.stdout);
         assert!(stdout.contains("k=2"), "{args:?}: {stdout}");
     }
+}
+
+#[test]
+fn trace_file_may_precede_the_positionals() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-trace-first-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for args in [
+        &["partition", "--trace", "t.jsonl", "gen:LS34@0.2", "2"][..],
+        &["order", "--trace", "t.jsonl", "gen:LS34@0.2"],
+    ] {
+        let path = dir.join("t.jsonl");
+        std::fs::remove_file(&path).ok();
+        let out = mlgp().current_dir(&dir).args(args).output().unwrap();
+        assert!(
+            out.status.success(),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let jsonl = std::fs::read_to_string(&path).unwrap();
+        assert!(jsonl.lines().count() > 1, "{args:?}: {jsonl}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
@@ -475,5 +494,33 @@ fn threads_flag_caps_spectral_methods_without_changing_the_partition() {
         assert!(labels[0].lines().count() > 100, "{method}: short partition");
         assert_eq!(labels[0], labels[1], "{method} differs across --threads");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn order_threads_flag_does_not_change_the_permutation() {
+    // 4ELT@0.3 has 4,624 vertices, above nested dissection's fork size, so
+    // `--threads 2` runs the top recursion fork on two threads.
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-order-threads-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let perms: Vec<String> = ["1", "2"]
+        .iter()
+        .map(|threads| {
+            let permfile = dir.join(format!("mlnd-{threads}.perm"));
+            let out = mlgp()
+                .args(["order", "gen:4ELT@0.3", "--method", "mlnd"])
+                .args(["--threads", threads, "--out", permfile.to_str().unwrap()])
+                .output()
+                .expect("spawn mlgp");
+            assert!(
+                out.status.success(),
+                "--threads {threads}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            std::fs::read_to_string(&permfile).unwrap()
+        })
+        .collect();
+    assert_eq!(perms[0].lines().count(), 4624);
+    assert_eq!(perms[0], perms[1], "mlnd differs across --threads");
     std::fs::remove_dir_all(&dir).ok();
 }
