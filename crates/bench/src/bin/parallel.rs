@@ -3,8 +3,8 @@
 //! The paper's §5 argues the multilevel scheme parallelizes (56× on a
 //! 128-processor Cray T3D for their message-passing formulation) across
 //! the independent subproblems of the recursion. This binary measures the
-//! shared-memory analogue on a ≥200k-vertex generator mesh over 1/2/4/8
-//! worker threads:
+//! shared-memory analogue on a ≥200k-vertex generator mesh under pool
+//! caps of 1/2/4/8 threads:
 //!
 //! * a **per-phase table** for the full refined pipeline
 //!   (`kway_partition_refined`), splitting coarsen vs init/refine/project
@@ -297,8 +297,8 @@ fn main() {
     if cores == 1 {
         println!("on a single core this run demonstrates overhead-neutrality of the");
         println!("recursion forks (≈1.0x at every thread count), not speedup; the shim");
-        println!("runs forks on persistent pool workers, so multicore hosts see the real");
-        println!("scaling figure.");
+        println!("runs one half of each fork on a thread of its own, so multicore hosts");
+        println!("see the real scaling figure.");
     }
     finish_or_exit(sink);
     if !deterministic {

@@ -56,7 +56,8 @@ pub fn kway_partition_traced(g: &CsrGraph, k: usize, cfg: &MlConfig, trace: &Tra
 /// The bisector receives the subgraph, the `[side0, side1]` weight targets
 /// (side 0 gets `⌈k/2⌉/k` of the weight) and a deterministic salt that
 /// identifies the recursion path (1 at the root, `2s`/`2s+1` below `s`), and
-/// returns 0/1 labels.
+/// returns 0/1 labels. It is called only on subgraphs of at least 2
+/// vertices, so `k` may exceed the vertex count.
 pub fn recursive_kway_with<F>(g: &CsrGraph, k: usize, bisector: &F) -> Vec<u32>
 where
     F: Fn(&CsrGraph, [Wgt; 2], u64) -> Vec<u8> + Sync,
@@ -70,7 +71,9 @@ fn rec_with<F>(g: &CsrGraph, k: usize, bisector: &F, salt: u64, part: &mut [u32]
 where
     F: Fn(&CsrGraph, [Wgt; 2], u64) -> Vec<u8> + Sync,
 {
-    if k <= 1 || g.n() == 0 {
+    // A single vertex is never bisected: it takes label 0, the side with
+    // the larger target.
+    if k <= 1 || g.n() <= 1 {
         for p in part.iter_mut() {
             *p = 0;
         }

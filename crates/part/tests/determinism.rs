@@ -38,7 +38,7 @@ fn thread_counts() -> Vec<usize> {
 }
 
 /// A 21,000-vertex mesh: large enough that an 8-way partition forks its
-/// top subproblems onto the pool's workers under any pool wider than one
+/// top subproblems onto threads of their own under any pool wider than one
 /// thread.
 fn mesh() -> CsrGraph {
     tri_mesh2d(150, 140, 11)

@@ -122,10 +122,19 @@ fn opt<'a>(opts: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
     opts.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| *v)
 }
 
+/// Parse a suite scale (`gen:<KEY>@SCALE`, `gen --scale`): a finite,
+/// positive number.
+fn parse_scale(s: &str) -> Result<f64, String> {
+    match s.parse::<f64>() {
+        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
+        _ => Err(format!("bad scale `{s}`")),
+    }
+}
+
 fn load_graph(spec: &str) -> Result<CsrGraph, String> {
     if let Some(genspec) = spec.strip_prefix("gen:") {
         let (key, scale) = match genspec.split_once('@') {
-            Some((k, s)) => (k, s.parse::<f64>().map_err(|_| format!("bad scale `{s}`"))?),
+            Some((k, s)) => (k, parse_scale(s)?),
             None => (genspec, 1.0),
         };
         let entry = generators::entry(key)
@@ -338,8 +347,8 @@ fn cmd_gen(args: &[String]) -> Result<(), String> {
     let [key, out] = pos.as_slice() else {
         return Err(format!("gen needs <key> <out>\n{USAGE}"));
     };
-    let scale: f64 = opt(&opts, "scale")
-        .map(|s| s.parse().map_err(|_| format!("bad scale `{s}`")))
+    let scale = opt(&opts, "scale")
+        .map(parse_scale)
         .transpose()?
         .unwrap_or(1.0);
     let entry = generators::entry(key).ok_or_else(|| format!("unknown suite key `{key}`"))?;

@@ -500,10 +500,12 @@ fn threads_flag_caps_spectral_methods_without_changing_the_partition() {
 #[test]
 fn order_threads_flag_does_not_change_the_permutation() {
     // 4ELT@0.3 has 4,624 vertices, above nested dissection's fork size, so
-    // `--threads 2` runs the top recursion fork on two threads.
+    // `--threads 2` runs the top recursion fork on two threads. A cap of
+    // 100000 is only a budget: threads start at forks that find a free
+    // slot, so it starts no more threads than `--threads 2` does.
     let dir = std::env::temp_dir().join(format!("mlgp-cli-order-threads-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let perms: Vec<String> = ["1", "2"]
+    let perms: Vec<String> = ["1", "2", "100000"]
         .iter()
         .map(|threads| {
             let permfile = dir.join(format!("mlnd-{threads}.perm"));
@@ -522,5 +524,50 @@ fn order_threads_flag_does_not_change_the_permutation() {
         .collect();
     assert_eq!(perms[0].lines().count(), 4624);
     assert_eq!(perms[0], perms[1], "mlnd differs across --threads");
+    assert_eq!(perms[0], perms[2], "mlnd differs at --threads 100000");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn every_method_accepts_k_at_and_above_the_vertex_count() {
+    // gen:4ELT@0.0001 has 16 vertices, so the recursion reaches subgraphs
+    // of one vertex that still need more than one part.
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-tiny-k-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for method in ["ml", "ml-refined", "msb", "msb-kl", "chaco"] {
+        for k in [16u32, 17] {
+            let partfile = dir.join(format!("{method}-{k}.part"));
+            let out = mlgp()
+                .args(["partition", "gen:4ELT@0.0001", &k.to_string()])
+                .args(["--method", method, "--out", partfile.to_str().unwrap()])
+                .output()
+                .expect("spawn mlgp");
+            assert!(
+                out.status.success(),
+                "{method} k={k}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            let labels: Vec<u32> = std::fs::read_to_string(&partfile)
+                .unwrap()
+                .lines()
+                .map(|l| l.parse().unwrap())
+                .collect();
+            assert_eq!(labels.len(), 16, "{method} k={k}");
+            assert!(labels.iter().all(|&p| p < k), "{method} k={k}: {labels:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn nonsense_scales_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-scale-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for scale in ["nan", "-5", "0", "inf"] {
+        let needle = format!("bad scale `{scale}`");
+        assert_rejected(&dir, &["info", &format!("gen:4ELT@{scale}")], &needle);
+        assert_rejected(&dir, &["gen", "4ELT", "x.graph", "--scale", scale], &needle);
+    }
+    assert!(!dir.join("x.graph").exists(), "gen ran despite a bad scale");
     std::fs::remove_dir_all(&dir).ok();
 }
