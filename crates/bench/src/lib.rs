@@ -11,7 +11,7 @@
 //! and `--json [FILE]` additionally emits the rows as JSONL (to stdout when
 //! no file is given) for tracking results across commits.
 
-use mlgp_graph::generators::{entry, SuiteEntry};
+use mlgp_graph::generators::{check_scale, entry, SuiteEntry};
 use mlgp_graph::CsrGraph;
 use mlgp_trace::json::JsonObj;
 use std::time::Instant;
@@ -61,13 +61,10 @@ impl BenchOpts {
             match args[i].as_str() {
                 "--scale" => {
                     let v = value(&args, i, "--scale")?;
-                    opts.scale = v
+                    let scale = v
                         .parse()
                         .map_err(|_| format!("--scale needs a number, got `{v}`"))?;
-                    // Also rejects NaN, which compares false with everything.
-                    if opts.scale.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-                        return Err(format!("--scale must be positive, got `{v}`"));
-                    }
+                    opts.scale = check_scale(scale).map_err(|e| format!("--scale: {e}"))?;
                     i += 2;
                 }
                 "--keys" => {

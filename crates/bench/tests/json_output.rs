@@ -71,6 +71,21 @@ fn malformed_options_exit_nonzero_without_panicking() {
 }
 
 #[test]
+fn scales_that_cannot_be_generated_exit_nonzero_before_generating() {
+    for (scale, why) in [("inf", "finite positive"), ("1e12", "vertex id")] {
+        let out = Command::new(env!("CARGO_BIN_EXE_table2"))
+            .args(["--scale", scale, "--keys", "4ELT"])
+            .output()
+            .expect("spawn table2");
+        assert_eq!(out.status.code(), Some(2), "--scale {scale}");
+        let stderr = String::from_utf8(out.stderr).unwrap();
+        assert!(stderr.starts_with("error: --scale"), "{scale}: {stderr}");
+        assert!(stderr.contains(why), "{scale}: {stderr}");
+        assert!(out.stdout.is_empty(), "{scale} printed a table");
+    }
+}
+
+#[test]
 fn table2_rows_carry_trace_phase_times() {
     let out = Command::new(env!("CARGO_BIN_EXE_table2"))
         .args(["--scale", "0.05", "--keys", "4ELT", "--json"])

@@ -21,4 +21,4 @@ pub use grid::{grid2d, grid2d_9pt, grid3d, lshape, stiffness3d, stiffness3d_wrap
 pub use lp::hierarchical_lp;
 pub use mesh::{tet_mesh3d, tri_mesh2d};
 pub use network::{powergrid, powerlaw, roadnet};
-pub use suite::{entry, fig5_rows, figure_rows, suite, table_rows, SuiteEntry};
+pub use suite::{check_scale, entry, fig5_rows, figure_rows, suite, table_rows, SuiteEntry};

@@ -8,7 +8,7 @@
 //! can also be smoke-tested quickly.
 
 use super::{grid, lp, mesh, network};
-use crate::csr::CsrGraph;
+use crate::csr::{CsrGraph, Vid};
 
 /// Which generator an entry uses, with its full-scale parameters.
 #[derive(Clone, Copy, Debug)]
@@ -61,8 +61,25 @@ impl SuiteEntry {
     /// Generate a linearly down-scaled instance: the vertex count is
     /// approximately `scale * paper_order` (dimensions shrink by the
     /// appropriate root). `scale` is clamped so every generator stays above
-    /// its minimum size.
+    /// its minimum size. Callers taking a scale from a user check it with
+    /// [`check_scale`] first.
     pub fn generate_scaled(&self, scale: f64) -> CsrGraph {
+        match self.scaled(scale) {
+            Kind::LShape(n) => grid::lshape(n),
+            Kind::Stiffness(x, y, z) => grid::stiffness3d(x, y, z),
+            Kind::StiffnessWrapped(x, y, z) => grid::stiffness3d_wrapped(x, y, z),
+            Kind::PowerGrid(n) => network::powergrid(n, self.seed),
+            Kind::Tri2d(x, y) => mesh::tri_mesh2d(x, y, self.seed),
+            Kind::Tet3d(x, y, z) => mesh::tet_mesh3d(x, y, z, self.seed),
+            Kind::PowerLaw(n, m) => network::powerlaw(n, m, self.seed),
+            Kind::Lp(blocks, size) => lp::hierarchical_lp(blocks, size, self.seed),
+            Kind::Grid9(x, y) => grid::grid2d_9pt(x, y, false),
+            Kind::Road(x, y) => network::roadnet(x, y, self.seed),
+        }
+    }
+
+    /// The generator parameters of the instance at `scale`.
+    fn scaled(&self, scale: f64) -> Kind {
         let s1 = scale.max(1e-4);
         let s2 = s1.sqrt();
         let s3 = s1.cbrt();
@@ -70,27 +87,62 @@ impl SuiteEntry {
         let d3 = |v: usize| ((v as f64 * s3).round() as usize).max(3);
         let d1 = |v: usize| ((v as f64 * s1).round() as usize).max(16);
         match self.kind {
-            Kind::LShape(n) => grid::lshape((d2(n) / 2 * 2).max(4)),
-            Kind::Stiffness(x, y, z) => grid::stiffness3d(d3(x), d3(y), d3(z)),
+            Kind::LShape(n) => Kind::LShape((d2(n) / 2 * 2).max(4)),
+            Kind::Stiffness(x, y, z) => Kind::Stiffness(d3(x), d3(y), d3(z)),
+            // Thin shell (SHELL93): scale the surface dimensions only,
+            // keeping the through-thickness layer count.
             Kind::StiffnessWrapped(x, y, z) if z <= 4 => {
-                // Thin shell (SHELL93): scale the surface dimensions only,
-                // keeping the through-thickness layer count.
-                grid::stiffness3d_wrapped(d2(x).max(3), d2(y), z)
+                Kind::StiffnessWrapped(d2(x).max(3), d2(y), z)
             }
-            Kind::StiffnessWrapped(x, y, z) => {
-                grid::stiffness3d_wrapped(d3(x).max(3), d3(y), d3(z))
-            }
-            Kind::PowerGrid(n) => network::powergrid(d1(n), self.seed),
-            Kind::Tri2d(x, y) => mesh::tri_mesh2d(d2(x), d2(y), self.seed),
-            Kind::Tet3d(x, y, z) => mesh::tet_mesh3d(d3(x), d3(y), d3(z), self.seed),
-            Kind::PowerLaw(n, m) => network::powerlaw(d1(n), m, self.seed),
-            Kind::Lp(blocks, size) => {
-                lp::hierarchical_lp(d1(blocks).max(2), size.max(4), self.seed)
-            }
-            Kind::Grid9(x, y) => grid::grid2d_9pt(d2(x), d2(y), false),
-            Kind::Road(x, y) => network::roadnet(d2(x), d2(y), self.seed),
+            Kind::StiffnessWrapped(x, y, z) => Kind::StiffnessWrapped(d3(x).max(3), d3(y), d3(z)),
+            Kind::PowerGrid(n) => Kind::PowerGrid(d1(n)),
+            Kind::Tri2d(x, y) => Kind::Tri2d(d2(x), d2(y)),
+            Kind::Tet3d(x, y, z) => Kind::Tet3d(d3(x), d3(y), d3(z)),
+            Kind::PowerLaw(n, m) => Kind::PowerLaw(d1(n), m),
+            Kind::Lp(blocks, size) => Kind::Lp(d1(blocks).max(2), size.max(4)),
+            Kind::Grid9(x, y) => Kind::Grid9(d2(x), d2(y)),
+            Kind::Road(x, y) => Kind::Road(d2(x), d2(y)),
         }
     }
+}
+
+impl Kind {
+    /// Vertices of the generated graph, as a float so that saturated
+    /// dimensions cannot overflow the product.
+    fn vertices(self) -> f64 {
+        let f = |v: usize| v as f64;
+        match self {
+            Kind::LShape(n) => 0.75 * f(n) * f(n),
+            Kind::Stiffness(x, y, z) | Kind::StiffnessWrapped(x, y, z) | Kind::Tet3d(x, y, z) => {
+                f(x) * f(y) * f(z)
+            }
+            Kind::PowerGrid(n) | Kind::PowerLaw(n, _) => f(n),
+            Kind::Tri2d(x, y) | Kind::Grid9(x, y) | Kind::Road(x, y) | Kind::Lp(x, y) => {
+                f(x) * f(y)
+            }
+        }
+    }
+}
+
+/// Check a user-supplied suite scale: it must be finite and positive, and
+/// small enough that every suite entry's vertex count fits a [`Vid`].
+/// Returns the scale, or a message saying why it is refused.
+pub fn check_scale(scale: f64) -> Result<f64, String> {
+    if !(scale.is_finite() && scale > 0.0) {
+        return Err(format!(
+            "scale must be a finite positive number, got {scale}"
+        ));
+    }
+    for e in suite() {
+        let n = e.scaled(scale).vertices();
+        if n > Vid::MAX as f64 {
+            return Err(format!(
+                "scale {scale} would give {} about {n:.3e} vertices, more than a vertex id can index",
+                e.key
+            ));
+        }
+    }
+    Ok(scale)
 }
 
 /// The full 24-entry suite mirroring Table 1, sorted by key.
@@ -396,6 +448,31 @@ mod tests {
                 g.n(),
                 e.paper_order
             );
+        }
+    }
+
+    #[test]
+    fn scaled_vertex_counts_match_the_generators() {
+        for scale in [0.02, 0.1] {
+            for e in suite() {
+                let n = e.generate_scaled(scale).n();
+                assert_eq!(e.scaled(scale).vertices(), n as f64, "{} @{scale}", e.key);
+            }
+        }
+    }
+
+    #[test]
+    fn check_scale_refuses_what_cannot_be_generated() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -1.0, 0.0, -0.0] {
+            let err = check_scale(bad).unwrap_err();
+            assert!(err.contains("finite positive"), "{bad}: {err}");
+        }
+        for huge in [1e12, 1e6, f64::MAX] {
+            let err = check_scale(huge).unwrap_err();
+            assert!(err.contains("vertex id"), "{huge}: {err}");
+        }
+        for fine in [1e-9, 0.05, 1.0, 100.0] {
+            assert_eq!(check_scale(fine), Ok(fine));
         }
     }
 

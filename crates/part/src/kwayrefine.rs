@@ -4,44 +4,24 @@
 //! *final* k-way partition, moving boundary vertices to whichever adjacent
 //! part reduces the cut most, under the balance constraint.
 //!
-//! # Round-based kernel (determinism contract)
+//! # Greedy passes
 //!
-//! The sweep runs as synchronized *propose/commit rounds*, the structure
-//! of a local-max matching handshake:
-//!
-//! 1. **Propose** — every boundary vertex computes its best legal move
-//!    against a *frozen* snapshot of the partition and part weights:
-//!    maximal connectivity gain, ties toward the lighter part,
-//!    destinations over the balance bound excluded.
-//! 2. **Resolve** — a proposer commits only if it beats every proposing
-//!    neighbor under the strict key `(gain, seeded rank)` (ranks come from
-//!    a seeded random permutation, so the order is total). Winners form an
-//!    independent set in the conflict graph, which means no winner's
-//!    neighborhood changes this round — every committed gain is *exact*
-//!    and the cut never increases.
-//! 3. **Commit** — winners are bucketed by destination part in vertex
-//!    order; each part accepts its candidates best-first while they fit in
-//!    its budget `ub − pwgt`. Rejected and losing vertices simply
-//!    re-propose next round against the updated snapshot.
-//!
-//! The result is a pure function of `(graph, partition, k, options.seed)`,
-//! independent of visit order within a phase. The phases run as serial
-//! loops; parallelism lives at the recursion forks of the bisections that
-//! produce the input. The globally maximal proposer always wins and always
-//! fits its (snapshot-legal) budget, so every round with proposals commits
-//! at least one move.
-//!
-//! # Cost: boundary-only proposals
+//! Each pass visits the vertices in one seeded random order. A boundary
+//! vertex computes its connectivity to the adjacent parts from the
+//! *current* partition and part weights and moves at once to its best
+//! legal destination: highest gain, ties toward the lighter part, never
+//! past the balance bound `ub`. A move is legal when its gain is positive,
+//! or zero with the destination lighter than the vertex's part before the
+//! move. Every gain is exact, so the cut never increases; the sweep stops
+//! after a pass that lowers the cut by nothing, or at `max_passes`. The
+//! result is a pure function of `(graph, partition, k, options.seed)`.
 //!
 //! Only a boundary vertex can have a legal move, so the kernel keeps, for
-//! every vertex, its number of neighbors in other parts, and the propose
-//! phase reads the adjacency of boundary vertices only; interior ones just
-//! clear their proposal slot. The counts are built once in `O(n + m)` and
-//! kept exact by the apply loop, which updates each moved vertex
-//! and its neighbors in `O(deg)`. A round then costs `O(n)` plus the
-//! adjacency of the boundary and of the proposers' neighbors (resolve),
-//! instead of `O(n + m)`; proposals, winners and moves are exactly those
-//! of a full scan, which a `#[cfg(test)]` oracle checks.
+//! every vertex, its number of neighbors in other parts and reads the
+//! adjacency of boundary vertices only. The counts are built once in
+//! `O(n + m)` and kept exact by each move in `O(deg)`, so a pass costs
+//! `O(n)` plus the boundary's adjacency; a `#[cfg(test)]` full-scan oracle
+//! checks that the moves are exactly those of a scan of every adjacency.
 
 use crate::config::MlConfig;
 use crate::kway::{kway_partition_traced, KwayResult};
@@ -50,17 +30,14 @@ use mlgp_graph::rng::{random_order, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use mlgp_trace::{Event, Trace, SPAN_REFINE};
 
-/// Sentinel for "no proposal this round".
-const NONE: u32 = u32::MAX;
-
-/// Options for the round-based k-way sweep.
+/// Options for the greedy k-way sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct KwayRefineOptions {
-    /// Maximum propose/commit rounds.
+    /// Maximum passes over the vertices.
     pub max_passes: usize,
     /// Per-part weight may not exceed `imbalance ×` the average.
     pub imbalance: f64,
-    /// Seed for the rank permutation (the commit tie-breaker).
+    /// Seed for the visit order.
     pub seed: u64,
     /// Ignored: the sweep is one serial kernel. The field stays only for
     /// callers that still set it.
@@ -78,48 +55,31 @@ impl Default for KwayRefineOptions {
     }
 }
 
-/// Telemetry from one run of the round-based k-way refinement kernel.
+/// Telemetry from one run of the greedy k-way sweep.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct KwayRefineStats {
-    /// Propose/commit rounds executed.
+    /// Passes over the vertices.
     pub rounds: usize,
-    /// Move proposals across all rounds.
+    /// Boundary vertices evaluated, summed over the passes.
     pub proposals: usize,
-    /// Proposals dropped because an adjacent proposer had a higher
-    /// `(gain, rank)` key.
-    pub conflicts: usize,
-    /// Round winners rejected because their destination's weight budget
-    /// was exhausted.
-    pub balance_rejects: usize,
-    /// Moves committed.
+    /// Moves applied.
     pub moves: usize,
 }
 
-/// Refine a k-way partition in place with the round-based kernel. Returns
-/// the resulting edge-cut.
+/// Refine a k-way partition in place with the greedy sweep. Returns the
+/// resulting edge-cut.
 pub fn kway_refine_greedy(
     g: &CsrGraph,
     part: &mut [u32],
     k: usize,
     opts: &KwayRefineOptions,
 ) -> Wgt {
-    kway_refine_greedy_traced(g, part, k, opts, &Trace::disabled())
+    kway_refine_stats(g, part, k, opts, &Trace::disabled()).0
 }
 
-/// [`kway_refine_greedy`] with telemetry: one `kway_round` event per round
-/// plus a `kway_sweep` summary and workspace counters.
-pub fn kway_refine_greedy_traced(
-    g: &CsrGraph,
-    part: &mut [u32],
-    k: usize,
-    opts: &KwayRefineOptions,
-    trace: &Trace,
-) -> Wgt {
-    kway_refine_stats(g, part, k, opts, trace).0
-}
-
-/// [`kway_refine_greedy_traced`] returning the kernel telemetry alongside
-/// the final cut (used by the scaling bench and the determinism suite).
+/// [`kway_refine_greedy`] with telemetry: returns the kernel statistics
+/// alongside the final cut, and records a `kway_sweep` event and the
+/// `kwayref_*` counters on `trace`.
 pub fn kway_refine_stats(
     g: &CsrGraph,
     part: &mut [u32],
@@ -133,33 +93,19 @@ pub fn kway_refine_stats(
     if k <= 1 || n == 0 {
         return (0, stats);
     }
-    let cut_before = if trace.is_enabled() {
-        edge_cut_kway(g, part)
-    } else {
-        0
-    };
-    // Seeded rank permutation: the strict tie-breaker that makes the
-    // conflict order total (same role as the matching kernel's ranks).
-    let mut rng = seeded(opts.seed);
-    let order = random_order(&mut rng, n);
-    let mut rank = vec![0u32; n];
-    for (i, &v) in order.iter().enumerate() {
-        rank[v as usize] = i as u32;
-    }
+    let cut_before = edge_cut_kway(g, part);
+    let mut cut = cut_before;
+    let order = random_order(&mut seeded(opts.seed), n);
     let mut pwgts = part_weights(g, part, k);
     let total: Wgt = pwgts.iter().sum();
-    let avg = total as f64 / k as f64;
-    let ub = (avg * opts.imbalance).ceil() as Wgt;
+    let ub = (total as f64 / k as f64 * opts.imbalance).ceil() as Wgt;
 
     // Connectivity of the current vertex to each part, reset per vertex
     // via `touched`.
     let mut conn: Vec<Wgt> = vec![0; k];
     let mut touched: Vec<u32> = Vec::with_capacity(16);
-    // Proposal slots, rewritten every round: destination and gain.
-    let mut prop_to = vec![NONE; n];
-    let mut prop_gain: Vec<Wgt> = vec![0; n];
     // Neighbors of each vertex in another part: only boundary vertices
-    // (`external > 0`) can propose. The apply loop keeps it current.
+    // (`external > 0`) can move. Every move keeps it current.
     let mut external: Vec<u32> = (0..n)
         .map(|v| {
             let home = part[v];
@@ -170,147 +116,85 @@ pub fn kway_refine_stats(
         })
         .collect();
 
-    for round in 0..opts.max_passes.max(1) {
-        // Propose: best legal move per boundary vertex against the frozen
-        // (part, pwgts) snapshot; interior vertices cannot improve the cut
-        // and skip their adjacency.
-        let mut proposals = 0usize;
-        for v in 0..n {
-            prop_to[v] = NONE;
+    for _ in 0..opts.max_passes.max(1) {
+        let cut_at_start = cut;
+        for &v in &order {
+            let v = v as usize;
             if external[v] == 0 {
                 continue;
             }
-            let home = part[v] as usize;
+            stats.proposals += 1;
+            let home = part[v];
             touched.clear();
             for (u, w) in g.adj(v as Vid) {
-                let pu = part[u as usize] as usize;
-                if conn[pu] == 0 {
-                    touched.push(pu as u32);
+                let pu = part[u as usize];
+                if conn[pu as usize] == 0 {
+                    touched.push(pu);
                 }
-                conn[pu] += w;
+                conn[pu as usize] += w;
             }
-            let mut best: Option<(Wgt, Wgt, usize)> = None; // (gain, -pwgt, part)
+            // Best destination by (gain, -pwgt); equal keys go to the part
+            // met first in the adjacency.
+            let mut best: Option<(Wgt, Wgt, u32)> = None;
             let vw = g.vwgt()[v];
-            let here = conn[home];
+            let here = conn[home as usize];
             for &t in &touched {
-                let t = t as usize;
-                if t == home || pwgts[t] + vw > ub {
+                let tw = pwgts[t as usize];
+                if t == home || tw + vw > ub {
                     continue;
                 }
-                let gain = conn[t] - here;
-                let key = (gain, -pwgts[t]);
-                if (gain > 0 || (gain == 0 && pwgts[t] + vw < pwgts[home]))
-                    && best.is_none_or(|(bg, bw, _)| key > (bg, bw))
+                let gain = conn[t as usize] - here;
+                if (gain > 0 || (gain == 0 && tw < pwgts[home as usize]))
+                    && best.is_none_or(|(bg, bw, _)| (gain, -tw) > (bg, bw))
                 {
-                    best = Some((gain, -pwgts[t], t));
+                    best = Some((gain, -tw, t));
                 }
             }
             for &t in &touched {
                 conn[t as usize] = 0;
             }
-            if let Some((gain, _, to)) = best {
-                prop_gain[v] = gain;
-                prop_to[v] = to as u32;
-                proposals += 1;
-            }
-        }
-        if proposals == 0 {
-            break;
-        }
-        // Resolve: a proposer wins iff it beats every proposing neighbor
-        // under the strict `(gain, rank)` key, so winners are independent
-        // and their snapshot gains are exact. Winners are bucketed by
-        // destination in vertex order.
-        let mut buckets: Vec<Vec<(Vid, Wgt)>> = vec![Vec::new(); k];
-        let mut winners_total = 0usize;
-        for v in 0..n {
-            if prop_to[v] == NONE {
+            let Some((gain, _, to)) = best else {
                 continue;
-            }
-            let kv = (prop_gain[v], rank[v]);
-            let wins = g.neighbors(v as Vid).iter().all(|&u| {
-                prop_to[u as usize] == NONE || (prop_gain[u as usize], rank[u as usize]) <= kv
-            });
-            if wins {
-                buckets[prop_to[v] as usize].push((v as Vid, prop_gain[v]));
-                winners_total += 1;
-            }
-        }
-        // Commit: each part accepts best-first while its weight stays
-        // within the bound.
-        for (p, bucket) in buckets.iter_mut().enumerate() {
-            bucket.sort_unstable_by(|&(va, ga), &(vb, gb)| {
-                (gb, rank[vb as usize]).cmp(&(ga, rank[va as usize]))
-            });
-            let mut left = ub - pwgts[p];
-            bucket.retain(|&(v, _)| {
-                let vw = g.vwgt()[v as usize];
-                let fits = vw <= left;
-                if fits {
-                    left -= vw;
+            };
+            // Apply the move, refreshing the boundary counts of the vertex
+            // and its neighbors.
+            pwgts[home as usize] -= vw;
+            pwgts[to as usize] += vw;
+            part[v] = to;
+            let mut ext = 0;
+            for &u in g.neighbors(v as Vid) {
+                let pu = part[u as usize];
+                if pu == home {
+                    external[u as usize] += 1;
+                } else if pu == to {
+                    external[u as usize] -= 1;
                 }
-                fits
-            });
-        }
-        // Apply the accepted moves (disjoint vertices), refreshing the
-        // boundary counts of each mover and its neighbors.
-        let mut moves = 0usize;
-        for (p, bucket) in buckets.iter().enumerate() {
-            let to = p as u32;
-            for &(v, _) in bucket {
-                let vw = g.vwgt()[v as usize];
-                let from = part[v as usize];
-                pwgts[from as usize] -= vw;
-                pwgts[p] += vw;
-                part[v as usize] = to;
-                let mut ext = 0;
-                for &u in g.neighbors(v) {
-                    let pu = part[u as usize];
-                    if pu == from {
-                        external[u as usize] += 1;
-                    } else if pu == to {
-                        external[u as usize] -= 1;
-                    }
-                    ext += (pu != to) as u32;
-                }
-                external[v as usize] = ext;
-                moves += 1;
+                ext += (pu != to) as u32;
             }
+            external[v] = ext;
+            cut -= gain;
+            stats.moves += 1;
         }
         stats.rounds += 1;
-        stats.proposals += proposals;
-        stats.conflicts += proposals - winners_total;
-        stats.balance_rejects += winners_total - moves;
-        stats.moves += moves;
-        trace.record(|| Event::KwayRound {
-            round,
-            proposals,
-            conflicts: proposals - winners_total,
-            balance_rejects: winners_total - moves,
-            moves,
-        });
-        if moves == 0 {
+        if cut == cut_at_start {
             break;
         }
     }
     if trace.is_enabled() {
         trace.count("kwayref_rounds", stats.rounds as u64);
         trace.count("kwayref_proposals", stats.proposals as u64);
-        trace.count("kwayref_conflicts", stats.conflicts as u64);
-        trace.count("kwayref_balance_rejects", stats.balance_rejects as u64);
         trace.count("kwayref_moves", stats.moves as u64);
     }
-    let cut_after = edge_cut_kway(g, part);
     trace.record(|| Event::KwaySweep {
         passes: stats.rounds,
         moves: stats.moves,
         cut_before,
-        cut_after,
+        cut_after: cut,
     });
-    (cut_after, stats)
+    (cut, stats)
 }
 
-/// [`kway_partition`] followed by the round-based k-way sweep.
+/// [`kway_partition`] followed by the greedy k-way sweep.
 ///
 /// [`kway_partition`]: crate::kway::kway_partition
 pub fn kway_partition_refined(g: &CsrGraph, k: usize, cfg: &MlConfig) -> KwayResult {
@@ -332,7 +216,7 @@ pub fn kway_partition_refined_traced(
         ..KwayRefineOptions::default()
     };
     let t = trace.start();
-    r.edge_cut = kway_refine_greedy_traced(g, &mut r.part, k, &opts, trace);
+    r.edge_cut = kway_refine_stats(g, &mut r.part, k, &opts, trace).0;
     trace.stop(t, SPAN_REFINE);
     r
 }
@@ -344,10 +228,9 @@ mod tests {
     use crate::metrics::{boundary_count, imbalance};
     use mlgp_graph::generators::{grid2d, powerlaw, tet_mesh3d, tri_mesh2d};
 
-    /// The full-scan kernel the boundary counts replaced, run serially as
-    /// an oracle: every round rebuilds every vertex's part connectivity
-    /// from its whole adjacency, interior vertices included, and only then
-    /// asks whether the vertex is on the boundary.
+    /// A full-scan oracle for the sweep: the same seeded visit order, but
+    /// every vertex rebuilds its part connectivity from its whole adjacency,
+    /// with no boundary counts, and every pass ends with a full cut scan.
     fn reference_refine(
         g: &CsrGraph,
         part: &mut [u32],
@@ -357,19 +240,16 @@ mod tests {
         let n = g.n();
         let mut stats = KwayRefineStats::default();
         let order = random_order(&mut seeded(opts.seed), n);
-        let mut rank = vec![0u32; n];
-        for (i, &v) in order.iter().enumerate() {
-            rank[v as usize] = i as u32;
-        }
         let mut pwgts = part_weights(g, part, k);
         let total: Wgt = pwgts.iter().sum();
         let ub = (total as f64 / k as f64 * opts.imbalance).ceil() as Wgt;
+        let mut cut = edge_cut_kway(g, part);
         for _ in 0..opts.max_passes.max(1) {
-            // Propose; destinations in first-adjacent order, so equal keys
-            // go to the part met first.
-            let mut prop: Vec<Option<(Wgt, usize)>> = vec![None; n];
-            for (v, slot) in prop.iter_mut().enumerate() {
+            for &v in &order {
+                let v = v as usize;
                 let home = part[v] as usize;
+                // Destinations in first-adjacent order, so equal keys go to
+                // the part met first.
                 let mut conn = vec![0 as Wgt; k];
                 let mut touched = Vec::new();
                 for (u, w) in g.adj(v as Vid) {
@@ -382,6 +262,7 @@ mod tests {
                 if touched.iter().all(|&t| t == home) {
                     continue;
                 }
+                stats.proposals += 1;
                 let vw = g.vwgt()[v];
                 let mut best: Option<(Wgt, Wgt, usize)> = None;
                 for &t in &touched {
@@ -389,63 +270,26 @@ mod tests {
                         continue;
                     }
                     let gain = conn[t] - conn[home];
-                    let legal = gain > 0 || (gain == 0 && pwgts[t] + vw < pwgts[home]);
+                    let legal = gain > 0 || (gain == 0 && pwgts[t] < pwgts[home]);
                     if legal && best.is_none_or(|(bg, bw, _)| (gain, -pwgts[t]) > (bg, bw)) {
                         best = Some((gain, -pwgts[t], t));
                     }
                 }
-                *slot = best.map(|(gain, _, t)| (gain, t));
-            }
-            let proposals = prop.iter().flatten().count();
-            if proposals == 0 {
-                break;
-            }
-            // Resolve.
-            let key = |v: usize| prop[v].map(|(gain, _)| (gain, rank[v]));
-            let winners: Vec<usize> = (0..n)
-                .filter(|&v| {
-                    key(v).is_some_and(|kv| {
-                        g.neighbors(v as Vid)
-                            .iter()
-                            .all(|&u| key(u as usize) <= Some(kv))
-                    })
-                })
-                .collect();
-            // Commit, best first per destination, then apply.
-            let mut buckets: Vec<Vec<usize>> = vec![Vec::new(); k];
-            for &v in &winners {
-                buckets[prop[v].unwrap().1].push(v);
-            }
-            let mut moves = 0;
-            for (p, bucket) in buckets.iter_mut().enumerate() {
-                bucket.sort_by_key(|&v| std::cmp::Reverse(key(v)));
-                let mut budget = ub - pwgts[p];
-                bucket.retain(|&v| {
-                    let fits = g.vwgt()[v] <= budget;
-                    if fits {
-                        budget -= g.vwgt()[v];
-                    }
-                    fits
-                });
-            }
-            for (p, bucket) in buckets.iter().enumerate() {
-                for &v in bucket {
-                    pwgts[part[v] as usize] -= g.vwgt()[v];
-                    pwgts[p] += g.vwgt()[v];
-                    part[v] = p as u32;
-                    moves += 1;
+                if let Some((_, _, t)) = best {
+                    pwgts[home] -= vw;
+                    pwgts[t] += vw;
+                    part[v] = t as u32;
+                    stats.moves += 1;
                 }
             }
             stats.rounds += 1;
-            stats.proposals += proposals;
-            stats.conflicts += proposals - winners.len();
-            stats.balance_rejects += winners.len() - moves;
-            stats.moves += moves;
-            if moves == 0 {
+            let after = edge_cut_kway(g, part);
+            if after == cut {
                 break;
             }
+            cut = after;
         }
-        (edge_cut_kway(g, part), stats)
+        (cut, stats)
     }
 
     #[test]
@@ -597,10 +441,7 @@ mod tests {
     }
 
     #[test]
-    fn winners_are_exact_so_cut_drops_by_committed_gains() {
-        // The independence of round winners makes every committed gain
-        // exact: the cut after each round equals the cut before minus the
-        // sum of committed gains. Verify via the per-round trace events.
+    fn sweep_event_matches_the_returned_stats_and_cut() {
         let g = tri_mesh2d(18, 18, 4);
         let mut part = kway_partition(&g, 6, &MlConfig::default()).part;
         // Perturb so the sweep has real work.
@@ -611,21 +452,27 @@ mod tests {
         }
         let trace = Trace::enabled();
         let before = edge_cut_kway(&g, &part);
-        let after =
-            kway_refine_greedy_traced(&g, &mut part, 6, &KwayRefineOptions::default(), &trace);
-        assert!(after <= before);
+        let (cut, stats) =
+            kway_refine_stats(&g, &mut part, 6, &KwayRefineOptions::default(), &trace);
+        assert!(stats.moves > 0, "the perturbed partition made no moves");
+        assert_eq!(cut, edge_cut_kway(&g, &part));
         let events = trace.events();
-        let rounds = events
+        let sweeps: Vec<_> = events
             .iter()
-            .filter(|e| matches!(e, Event::KwayRound { .. }))
-            .count();
-        assert!(rounds >= 1);
-        let Some(Event::KwaySweep { passes, .. }) = events
-            .iter()
-            .rfind(|e| matches!(e, Event::KwaySweep { .. }))
+            .filter(|e| matches!(e, Event::KwaySweep { .. }))
+            .collect();
+        let [Event::KwaySweep {
+            passes,
+            moves,
+            cut_before,
+            cut_after,
+        }] = sweeps[..]
         else {
-            panic!("no sweep summary event");
+            panic!("want one sweep summary event, got {}", sweeps.len());
         };
-        assert_eq!(*passes, rounds);
+        assert_eq!(*passes, stats.rounds);
+        assert_eq!(*moves, stats.moves);
+        assert_eq!(*cut_before, before);
+        assert_eq!(*cut_after, cut);
     }
 }

@@ -39,8 +39,8 @@ pub use contract::{contract, contract_threads, ContractStats, Contraction};
 pub use initpart::{initial_partition, initial_partition_traced};
 pub use kway::{kway_partition, kway_partition_traced, KwayResult};
 pub use kwayrefine::{
-    kway_partition_refined, kway_partition_refined_traced, kway_refine_greedy,
-    kway_refine_greedy_traced, kway_refine_stats, KwayRefineOptions, KwayRefineStats,
+    kway_partition_refined, kway_partition_refined_traced, kway_refine_greedy, kway_refine_stats,
+    KwayRefineOptions, KwayRefineStats,
 };
 pub use matching::{compute_matching, compute_matching_threads, MatchStats, Matching};
 pub use metrics::{

@@ -133,28 +133,14 @@ pub enum Event {
     },
     /// One direct k-way greedy sweep.
     KwaySweep {
-        /// Sweeps over the boundary.
+        /// Passes over the vertices.
         passes: usize,
-        /// Vertex moves committed.
+        /// Vertex moves applied.
         moves: usize,
         /// Edge-cut before the sweep.
         cut_before: i64,
         /// Edge-cut after the sweep.
         cut_after: i64,
-    },
-    /// One propose/commit round of the parallel k-way refinement kernel.
-    KwayRound {
-        /// Round index within the sweep (0-based).
-        round: usize,
-        /// Vertices that proposed a move this round.
-        proposals: usize,
-        /// Proposals dropped because an adjacent proposer had a higher
-        /// `(gain, rank)` key.
-        conflicts: usize,
-        /// Round winners rejected by the per-part weight budget.
-        balance_rejects: usize,
-        /// Moves committed this round.
-        moves: usize,
     },
 }
 
@@ -167,7 +153,6 @@ impl Event {
             Event::Eigen { .. } => "eigen",
             Event::Separator { .. } => "separator",
             Event::KwaySweep { .. } => "kway_sweep",
-            Event::KwayRound { .. } => "kway_round",
         }
     }
 
@@ -250,19 +235,6 @@ impl Event {
                 o.field_usize("moves", moves);
                 o.field_i64("cut_before", cut_before);
                 o.field_i64("cut_after", cut_after);
-            }
-            Event::KwayRound {
-                round,
-                proposals,
-                conflicts,
-                balance_rejects,
-                moves,
-            } => {
-                o.field_usize("round", round);
-                o.field_usize("proposals", proposals);
-                o.field_usize("conflicts", conflicts);
-                o.field_usize("balance_rejects", balance_rejects);
-                o.field_usize("moves", moves);
             }
         }
     }

@@ -122,13 +122,11 @@ fn opt<'a>(opts: &[(&str, &'a str)], name: &str) -> Option<&'a str> {
     opts.iter().rev().find(|(n, _)| *n == name).map(|(_, v)| *v)
 }
 
-/// Parse a suite scale (`gen:<KEY>@SCALE`, `gen --scale`): a finite,
-/// positive number.
+/// Parse a suite scale (`gen:<KEY>@SCALE`, `gen --scale`), refusing what
+/// [`generators::check_scale`] refuses.
 fn parse_scale(s: &str) -> Result<f64, String> {
-    match s.parse::<f64>() {
-        Ok(scale) if scale.is_finite() && scale > 0.0 => Ok(scale),
-        _ => Err(format!("bad scale `{s}`")),
-    }
+    let scale = s.parse::<f64>().map_err(|_| format!("bad scale `{s}`"))?;
+    generators::check_scale(scale).map_err(|e| format!("bad scale `{s}`: {e}"))
 }
 
 fn load_graph(spec: &str) -> Result<CsrGraph, String> {
@@ -203,10 +201,16 @@ fn partition(pos: &[&str], opts: &[(&str, &str)], threads: usize) -> Result<(), 
     let [spec, k] = pos else {
         return Err(format!("partition needs <graph> <k>\n{USAGE}"));
     };
-    let k: usize = k.parse().map_err(|_| format!("bad k `{k}`"))?;
-    if k < 1 {
-        return Err("k must be >= 1".into());
-    }
+    // Part labels are `u32`, so k is too.
+    let k = match k.parse::<u32>() {
+        Ok(k) if k >= 1 => k as usize,
+        _ => {
+            return Err(format!(
+                "bad k `{k}`: want a part count from 1 to {}",
+                u32::MAX
+            ))
+        }
+    };
     let method = opt(opts, "method").unwrap_or("ml");
     let seed: u64 = opt(opts, "seed")
         .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))

@@ -571,3 +571,32 @@ fn nonsense_scales_are_rejected() {
     assert!(!dir.join("x.graph").exists(), "gen ran despite a bad scale");
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn scales_past_the_vertex_id_range_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-huge-scale-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let needle = "bad scale `1e12`: scale 1000000000000 would give";
+    assert_rejected(&dir, &["partition", "gen:4ELT@1e12", "2"], needle);
+    assert_rejected(&dir, &["gen", "4ELT", "x.graph", "--scale", "1e12"], needle);
+    assert!(
+        !dir.join("x.graph").exists(),
+        "gen ran despite a huge scale"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn part_counts_outside_the_label_range_are_rejected() {
+    let dir = std::env::temp_dir().join(format!("mlgp-cli-huge-k-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // One past `u32::MAX`, and one past `u64::MAX`.
+    for k in ["0", "4294967296", "18446744073709551616"] {
+        assert_rejected(
+            &dir,
+            &["partition", "gen:4ELT@0.05", k],
+            &format!("bad k `{k}`: want a part count from 1 to 4294967295"),
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
