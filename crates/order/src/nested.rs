@@ -10,7 +10,7 @@
 
 use crate::mmd::mmd_order;
 use crate::vcover::{vertex_separator, SEPARATOR, SIDE_A, SIDE_B};
-use mlgp_graph::{induced_subgraph, CsrGraph, Permutation, Vid};
+use mlgp_graph::{split_by_part, CsrGraph, Permutation, Vid};
 use mlgp_part::{bisect_targets_traced, MlConfig};
 use mlgp_spectral::{msb_bisect_targets, MsbConfig};
 use mlgp_trace::{Event, Trace};
@@ -162,10 +162,12 @@ fn order_rec(
         seq.extend(p.iperm().iter().map(|&v| orig[v as usize]));
         return;
     }
-    let sel_a: Vec<bool> = labels.iter().map(|&l| l == SIDE_A).collect();
-    let sel_b: Vec<bool> = labels.iter().map(|&l| l == SIDE_B).collect();
-    let sub_a = induced_subgraph(sub, &sel_a);
-    let sub_b = induced_subgraph(sub, &sel_b);
+    // One split by label (SIDE_A, SIDE_B, SEPARATOR); the separator's piece
+    // is freed before the recursion.
+    let label_part: Vec<u32> = labels.iter().map(|&l| u32::from(l)).collect();
+    let mut pieces = split_by_part(sub, &label_part, 3);
+    pieces.truncate(2);
+    let (sub_a, sub_b) = (&pieces[SIDE_A as usize], &pieces[SIDE_B as usize]);
     let orig_a: Vec<Vid> = sub_a.orig.iter().map(|&v| orig[v as usize]).collect();
     let orig_b: Vec<Vid> = sub_b.orig.iter().map(|&v| orig[v as usize]).collect();
     let mut seq_a = Vec::with_capacity(sub_a.graph.n());

@@ -8,6 +8,7 @@ use mlgp_order::{
 };
 use proptest::prelude::*;
 use rand::RngExt;
+use std::collections::BTreeSet;
 
 /// Strategy: a random bipartite graph as adjacency lists.
 fn bipartite() -> impl Strategy<Value = (usize, usize, Vec<Vec<u32>>)> {
@@ -33,6 +34,48 @@ fn random_connected(n: usize, extra: usize, seed: u64) -> CsrGraph {
         }
     }
     b.build()
+}
+
+/// Random graph with `n` vertices and up to `edges` random edges: often
+/// disconnected, so its elimination tree is a forest with several roots.
+fn random_sparse(n: usize, edges: usize, seed: u64) -> CsrGraph {
+    let mut rng = seeded(seed);
+    let mut b = GraphBuilder::new(n);
+    for _ in 0..edges {
+        let u = rng.random_range(0..n) as u32;
+        let v = rng.random_range(0..n) as u32;
+        if u != v {
+            b.add_edge(u, v);
+        }
+    }
+    b.build()
+}
+
+/// Off-diagonal column counts of L by explicit symbolic elimination: each
+/// eliminated vertex joins its later neighbors into a clique.
+fn brute_column_counts(g: &CsrGraph, p: &Permutation) -> Vec<u64> {
+    let n = g.n();
+    let mut adj: Vec<BTreeSet<u32>> = (0..n)
+        .map(|j| {
+            let v = p.iperm()[j];
+            g.neighbors(v)
+                .iter()
+                .map(|&u| p.perm()[u as usize])
+                .collect()
+        })
+        .collect();
+    let mut counts = vec![0u64; n];
+    for j in 0..n {
+        let later: Vec<u32> = adj[j].range(j as u32 + 1..).copied().collect();
+        counts[j] = later.len() as u64;
+        for (a, &x) in later.iter().enumerate() {
+            for &y in &later[a + 1..] {
+                adj[x as usize].insert(y);
+                adj[y as usize].insert(x);
+            }
+        }
+    }
+    counts
 }
 
 /// Brute-force maximum matching size by augmenting-path search.
@@ -110,6 +153,23 @@ proptest! {
         let nnz: u64 = n as u64 + counts.iter().sum::<u64>();
         prop_assert!(nnz >= (n + g.m()) as u64);
         prop_assert!(nnz <= (n * (n + 1) / 2) as u64);
+    }
+
+    #[test]
+    fn column_counts_equal_symbolic_elimination(
+        n in 1usize..50,
+        edges in 0usize..120,
+        connected in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        let g = if connected == 1 {
+            random_connected(n, edges, seed)
+        } else {
+            random_sparse(n, edges / 2, seed)
+        };
+        let p = Permutation::random(n, &mut seeded(seed ^ 0x3c));
+        let parent = elimination_tree(&g, &p);
+        prop_assert_eq!(column_counts(&g, &p, &parent), brute_column_counts(&g, &p));
     }
 
     #[test]
