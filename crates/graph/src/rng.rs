@@ -13,6 +13,18 @@ pub fn seeded(seed: u64) -> StdRng {
     StdRng::seed_from_u64(seed)
 }
 
+/// SplitMix64 finalizer of `seed + k·φ` (φ = 0x9E3779B97F4A7C15, the
+/// golden-ratio increment): the `k`-th output of a SplitMix64 stream
+/// started at `seed`. Derives decorrelated seeds and hashes from a base
+/// seed without an RNG.
+#[inline]
+pub fn mix(seed: u64, k: u64) -> u64 {
+    let mut z = seed.wrapping_add(k.wrapping_mul(0x9E3779B97F4A7C15));
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
+    z ^ (z >> 31)
+}
+
 /// In-place Fisher-Yates shuffle.
 pub fn shuffle<T, R: Rng>(rng: &mut R, s: &mut [T]) {
     for i in (1..s.len()).rev() {
@@ -49,6 +61,13 @@ mod tests {
         assert_eq!(a, b);
         let c = random_order(&mut seeded(4), 20);
         assert_ne!(a, c);
+    }
+
+    #[test]
+    fn mix_is_the_splitmix64_stream() {
+        // Reference values of SplitMix64 seeded with 0.
+        assert_eq!(mix(0, 1), 0xE220A8397B1DCDAF);
+        assert_eq!(mix(0, 2), 0x6E789E6AA1B965F4);
     }
 
     #[test]

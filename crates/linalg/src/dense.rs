@@ -147,6 +147,9 @@ fn frobenius(a: &[f64], n: usize) -> f64 {
 /// The graph should be connected; for a disconnected graph the returned
 /// eigenvalue is ~0 and the vector separates components, which is still a
 /// usable bisection direction.
+///
+/// Cyclic Jacobi costs `O(n³)` per sweep on the dense Laplacian; callers
+/// that do not know the graph is small call [`crate::fiedler_vector`].
 pub fn fiedler_dense(g: &mlgp_graph::CsrGraph) -> (f64, Vec<f64>) {
     assert!(g.n() >= 2, "fiedler needs at least 2 vertices");
     let m = DenseSym::laplacian(g);

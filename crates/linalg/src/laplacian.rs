@@ -4,8 +4,6 @@
 //! adjacency matrix and `D` the diagonal of weighted degrees. The Fiedler
 //! vector is the eigenvector of the second-smallest eigenvalue of `L`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use mlgp_graph::{CsrGraph, Vid};
 
 /// A symmetric linear operator `y = A x` on `R^n`.
@@ -16,21 +14,13 @@ pub trait SymOp {
     fn apply(&self, x: &[f64], y: &mut [f64]);
 }
 
-/// Matrix-free weighted graph Laplacian.
-///
-/// The SpMV is one serial pass over the vertex rows. Every apply is
-/// tallied in the `spmv_calls` / `spmv_rows` telemetry counters (see
-/// [`Laplacian::spmv_calls`]) which the traced solver wrappers export as
-/// `spmv_*` trace counters.
+/// Matrix-free weighted graph Laplacian. The SpMV is one serial pass over
+/// the vertex rows.
 #[derive(Debug)]
 pub struct Laplacian<'a> {
     g: &'a CsrGraph,
     /// Cached weighted degrees (diagonal of `L`).
     deg: Vec<f64>,
-    /// Number of `apply` (SpMV) calls performed through this operator.
-    spmv_calls: AtomicU64,
-    /// Total rows (vertex equations) computed across all `apply` calls.
-    spmv_rows: AtomicU64,
 }
 
 impl<'a> Laplacian<'a> {
@@ -39,29 +29,12 @@ impl<'a> Laplacian<'a> {
         let deg = (0..g.n() as Vid)
             .map(|v| g.weighted_degree(v) as f64)
             .collect();
-        Self {
-            g,
-            deg,
-            spmv_calls: AtomicU64::new(0),
-            spmv_rows: AtomicU64::new(0),
-        }
+        Self { g, deg }
     }
 
     /// The underlying graph.
     pub fn graph(&self) -> &CsrGraph {
         self.g
-    }
-
-    /// SpMV calls performed so far ([`SymOp::apply`] invocations).
-    pub fn spmv_calls(&self) -> u64 {
-        // RELAXED: statistic only — never feeds partitioning decisions.
-        self.spmv_calls.load(Ordering::Relaxed)
-    }
-
-    /// Total vertex rows computed across all SpMV calls so far.
-    pub fn spmv_rows(&self) -> u64 {
-        // RELAXED: statistic only — never feeds partitioning decisions.
-        self.spmv_rows.load(Ordering::Relaxed)
     }
 
     /// Weighted degree of vertex `v` (the diagonal entry `L[v][v]`).
@@ -107,10 +80,6 @@ impl SymOp for Laplacian<'_> {
     fn apply(&self, x: &[f64], y: &mut [f64]) {
         debug_assert_eq!(x.len(), self.dim());
         debug_assert_eq!(y.len(), self.dim());
-        // RELAXED: statistic only — telemetry counters, no data dependency.
-        self.spmv_calls.fetch_add(1, Ordering::Relaxed);
-        self.spmv_rows
-            .fetch_add(self.dim() as u64, Ordering::Relaxed);
         for v in 0..self.g.n() as Vid {
             let mut acc = self.deg[v as usize] * x[v as usize];
             for (u, w) in self.g.adj(v) {

@@ -1,11 +1,14 @@
 //! # mlgp-linalg
 //!
 //! Numerical substrate for the spectral partitioning methods in the ICPP'95
-//! reproduction: matrix-free graph Laplacians, a dense Jacobi eigensolver
-//! (coarsest graphs), Lanczos with full reorthogonalization (Fiedler pairs
-//! from scratch), MINRES for symmetric indefinite solves, and
-//! Rayleigh-quotient iteration (multilevel Fiedler refinement à la
-//! Barnard-Simon).
+//! reproduction: matrix-free graph Laplacians, a dense Jacobi eigensolver,
+//! Lanczos with full reorthogonalization, MINRES for symmetric indefinite
+//! solves, and Rayleigh-quotient iteration (multilevel Fiedler refinement
+//! à la Barnard-Simon).
+//!
+//! [`fiedler_vector`] is the one place that picks a solver for a graph's
+//! Fiedler pair: dense Jacobi up to [`DENSE_FIEDLER_LIMIT`] vertices,
+//! Lanczos above.
 //!
 //! ```
 //! // lambda_2 of the path P_n is 2(1 - cos(pi/n)).
@@ -33,68 +36,6 @@ pub use vecops::{chunked_reduce, with_fanout, REDUCTION_CHUNK};
 use mlgp_graph::CsrGraph;
 use mlgp_trace::{Event, Trace};
 
-/// [`lanczos_fiedler`] recording an `eigen` event (solver `"lanczos"`,
-/// matvec count, final residual) and an `eigen_matvec` counter on `trace`.
-pub fn lanczos_fiedler_traced<O: SymOp>(
-    op: &O,
-    opts: &LanczosOptions,
-    trace: &Trace,
-) -> LanczosResult {
-    let r = lanczos_fiedler(op, opts);
-    trace.record(|| Event::Eigen {
-        solver: "lanczos",
-        n: op.dim(),
-        iters: r.matvecs,
-        residual: r.residual,
-    });
-    trace.count("eigen_matvec", r.matvecs as u64);
-    r
-}
-
-/// [`minres`] recording an `eigen` event (solver `"minres"`, Krylov steps,
-/// final residual) and an `eigen_matvec` counter (one SpMV per step) on
-/// `trace`.
-pub fn minres_traced<O: SymOp>(
-    op: &O,
-    b: &[f64],
-    opts: &MinresOptions,
-    trace: &Trace,
-) -> MinresResult {
-    let r = minres(op, b, opts);
-    trace.record(|| Event::Eigen {
-        solver: "minres",
-        n: op.dim(),
-        iters: r.iters,
-        residual: r.residual,
-    });
-    trace.count("eigen_matvec", r.iters as u64);
-    r
-}
-
-/// [`rqi_refine`] recording an `eigen` event (solver `"rqi"`, outer
-/// iterations, final eigen-residual) on `trace`, plus the operator-level
-/// `spmv_calls`/`spmv_rows` deltas (RQI's matvecs hide inside the inner
-/// MINRES solves, so the Laplacian's own tally is the honest count).
-pub fn rqi_refine_traced(
-    lap: &Laplacian<'_>,
-    x0: &[f64],
-    opts: &RqiOptions,
-    trace: &Trace,
-) -> RqiResult {
-    let (calls0, rows0) = (lap.spmv_calls(), lap.spmv_rows());
-    let r = rqi_refine(lap, x0, opts);
-    trace.record(|| Event::Eigen {
-        solver: "rqi",
-        n: lap.dim(),
-        iters: r.outer_iters,
-        residual: r.residual,
-    });
-    trace.count("eigen_matvec", lap.spmv_calls() - calls0);
-    trace.count("spmv_calls", lap.spmv_calls() - calls0);
-    trace.count("spmv_rows", lap.spmv_rows() - rows0);
-    r
-}
-
 /// Size threshold below which the dense Jacobi path is used for Fiedler
 /// vectors; above it, Lanczos.
 pub const DENSE_FIEDLER_LIMIT: usize = 320;
@@ -105,35 +46,39 @@ pub fn fiedler_vector(g: &CsrGraph, seed: u64) -> (f64, Vec<f64>) {
     fiedler_vector_traced(g, seed, &Trace::disabled())
 }
 
-/// [`fiedler_vector`] recording an `eigen` event per solve (the dense path
-/// reports solver `"dense-jacobi"` with zero iterations and residual — it
-/// is direct to machine precision; the Lanczos path additionally records
-/// `spmv_calls` / `spmv_rows` counters from the Laplacian's SpMV tally).
+/// [`fiedler_vector`] recording one `eigen` event per solve. The dense
+/// path reports solver `"dense-jacobi"` with zero iterations and residual
+/// (it is direct to machine precision). The Lanczos path reports its
+/// matvecs and final residual, and counts them as `eigen_matvec`,
+/// `spmv_calls` and `spmv_rows` (one SpMV over all `n` rows per matvec).
 pub fn fiedler_vector_traced(g: &CsrGraph, seed: u64, trace: &Trace) -> (f64, Vec<f64>) {
-    assert!(g.n() >= 2);
-    if g.n() <= DENSE_FIEDLER_LIMIT {
-        let (lambda, vector) = fiedler_dense(g);
+    let n = g.n();
+    assert!(n >= 2);
+    if n <= DENSE_FIEDLER_LIMIT {
         trace.record(|| Event::Eigen {
             solver: "dense-jacobi",
-            n: g.n(),
+            n,
             iters: 0,
             residual: 0.0,
         });
-        (lambda, vector)
-    } else {
-        let lap = Laplacian::new(g);
-        let r = lanczos_fiedler_traced(
-            &lap,
-            &LanczosOptions {
-                seed,
-                ..LanczosOptions::default()
-            },
-            trace,
-        );
-        trace.count("spmv_calls", lap.spmv_calls());
-        trace.count("spmv_rows", lap.spmv_rows());
-        (r.lambda, r.vector)
+        return fiedler_dense(g);
     }
+    let opts = LanczosOptions {
+        seed,
+        ..LanczosOptions::default()
+    };
+    let r = lanczos_fiedler(&Laplacian::new(g), &opts);
+    trace.record(|| Event::Eigen {
+        solver: "lanczos",
+        n,
+        iters: r.matvecs,
+        residual: r.residual,
+    });
+    let matvecs = r.matvecs as u64;
+    trace.count("eigen_matvec", matvecs);
+    trace.count("spmv_calls", matvecs);
+    trace.count("spmv_rows", matvecs * n as u64);
+    (r.lambda, r.vector)
 }
 
 #[cfg(test)]
@@ -152,5 +97,30 @@ mod tests {
         let expect = |n: f64| 2.0 * (1.0 - (std::f64::consts::PI / n).cos());
         assert!((l_small - expect(17.0)).abs() < 1e-5, "{l_small}");
         assert!((l_large - expect(18.0)).abs() < 1e-4, "{l_large}");
+    }
+
+    #[test]
+    fn traced_solve_records_one_eigen_event_and_matching_spmv_counters() {
+        for (g, solver) in [(grid2d(5, 4), "dense-jacobi"), (grid2d(18, 18), "lanczos")] {
+            let trace = Trace::enabled();
+            fiedler_vector_traced(&g, 3, &trace);
+            let events = trace.events();
+            assert_eq!(events.len(), 1, "{events:?}");
+            let Event::Eigen {
+                solver: s,
+                n,
+                iters,
+                ..
+            } = events[0]
+            else {
+                panic!("not an eigen event: {events:?}");
+            };
+            assert_eq!((s, n), (solver, g.n()));
+            let matvecs = trace.counter("eigen_matvec");
+            assert_eq!(matvecs, iters as u64);
+            assert_eq!(trace.counter("spmv_calls"), matvecs);
+            assert_eq!(trace.counter("spmv_rows"), matvecs * g.n() as u64);
+            assert_eq!(matvecs > 0, solver == "lanczos");
+        }
     }
 }

@@ -191,15 +191,10 @@ impl MlConfig {
     /// Derive a decorrelated configuration for a sub-problem (recursive
     /// bisection re-seeds each recursion branch deterministically).
     pub fn reseed(&self, salt: u64) -> Self {
-        let mut c = *self;
-        // SplitMix64 step keeps the derived streams independent.
-        let mut z = self
-            .seed
-            .wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15));
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-        c.seed = z ^ (z >> 31);
-        c
+        Self {
+            seed: mlgp_graph::rng::mix(self.seed, salt),
+            ..*self
+        }
     }
 }
 

@@ -20,7 +20,7 @@ use crate::config::InitialPartitioning;
 use crate::metrics::edge_cut_bisection;
 use crate::refine::fm::BalanceTargets;
 use crate::refine::GainQueue;
-use mlgp_graph::rng::seeded;
+use mlgp_graph::rng::{mix, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use mlgp_trace::Trace;
 use rand::{Rng, RngExt};
@@ -71,15 +71,6 @@ pub fn initial_partition_traced<R: Rng>(
     }
 }
 
-/// Independent RNG stream for trial `t`: SplitMix64 mix of `(base, t)`,
-/// the same decorrelation step as `MlConfig::reseed`.
-fn trial_seed(base: u64, t: u64) -> u64 {
-    let mut z = base.wrapping_add((t.wrapping_add(1)).wrapping_mul(0x9E3779B97F4A7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
-}
-
 /// One evaluated trial: the strict winner key `(balanced, cut, index)`
 /// plus the grown partition.
 struct Trial {
@@ -111,7 +102,8 @@ fn best_of(
     let trials = trials.max(1);
     trace.count("init_trial", trials as u64);
     let run_trial = |t: usize| -> Trial {
-        let mut rng = seeded(trial_seed(base, t as u64));
+        // Trial t's own stream: the same SplitMix64 step as `MlConfig::reseed`.
+        let mut rng = seeded(mix(base, t as u64 + 1));
         let start = rng.random_range(0..n) as Vid;
         let part = grow(g, bt, start);
         let cut = edge_cut_bisection(g, &part);

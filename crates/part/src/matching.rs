@@ -60,7 +60,7 @@
 //! The chain walk reads about 1× nnz in rescans.
 
 use crate::config::MatchingScheme;
-use mlgp_graph::rng::random_order;
+use mlgp_graph::rng::{mix, random_order};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use rand::Rng;
 
@@ -373,7 +373,7 @@ impl Scorer<'_> {
             MatchingScheme::Random => {
                 // Symmetric seeded hash → uniform in [0, 1).
                 let (a, b) = (v.min(u) as u64, v.max(u) as u64);
-                let h = splitmix64(self.salt ^ (a << 32 | b));
+                let h = mix(self.salt ^ (a << 32 | b), 1);
                 (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
             }
             MatchingScheme::HeavyEdge => w as f64,
@@ -390,15 +390,6 @@ impl Scorer<'_> {
             }
         }
     }
-}
-
-/// SplitMix64 — the same mixer the vendored rand shim seeds with.
-#[inline]
-fn splitmix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E3779B97F4A7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D049BB133111EB);
-    z ^ (z >> 31)
 }
 
 /// The symmetric total-order key of edge `(v, u)`: `(score, rmin, rmax)`

@@ -110,14 +110,13 @@ pub enum Event {
         /// Refinement policy abbreviation.
         policy: &'static str,
     },
-    /// One eigensolver run (Lanczos / MINRES / RQI).
+    /// One Fiedler solve (`mlgp_linalg::fiedler_vector_traced`).
     Eigen {
-        /// Solver name: `"lanczos"`, `"minres"`, or `"rqi"`.
+        /// Solver name: `"lanczos"` or `"dense-jacobi"`.
         solver: &'static str,
         /// Operator dimension.
         n: usize,
-        /// Iterations (matvecs for Lanczos, Krylov steps for MINRES,
-        /// outer iterations for RQI).
+        /// Matvecs for Lanczos; 0 for the direct dense solve.
         iters: usize,
         /// Final residual norm.
         residual: f64,
