@@ -4,7 +4,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use mlgp_graph::generators::{grid2d, tri_mesh2d};
 use mlgp_linalg::{fiedler_dense, lanczos_fiedler, LanczosOptions, Laplacian};
-use mlgp_spectral::{msb_fiedler, MsbConfig};
+use mlgp_spectral::msb_fiedler;
 use std::hint::black_box;
 
 fn bench_eigen(c: &mut Criterion) {
@@ -20,7 +20,7 @@ fn bench_eigen(c: &mut Criterion) {
         b.iter(|| black_box(lanczos_fiedler(&lap, &LanczosOptions::default()).lambda))
     });
     group.bench_function("multilevel_rqi_2500", |b| {
-        b.iter(|| black_box(msb_fiedler(&medium, &MsbConfig::default())))
+        b.iter(|| black_box(msb_fiedler(&medium, 777)))
     });
     group.finish();
 }

@@ -6,18 +6,9 @@
 //! ```
 
 use mlgp_bench::{run_quality_figure, BenchOpts};
-use mlgp_spectral::{msb_kway, MsbConfig};
+use mlgp_spectral::msb_kway;
 
 fn main() {
     let opts = BenchOpts::from_args();
-    run_quality_figure(&opts, "MSB", &|g, k, seed| {
-        msb_kway(
-            g,
-            k,
-            &MsbConfig {
-                seed,
-                ..MsbConfig::default()
-            },
-        )
-    });
+    run_quality_figure(&opts, "MSB", &msb_kway);
 }

@@ -6,18 +6,9 @@
 //! ```
 
 use mlgp_bench::{run_quality_figure, BenchOpts};
-use mlgp_spectral::{msb_kl_kway, MsbConfig};
+use mlgp_spectral::msb_kl_kway;
 
 fn main() {
     let opts = BenchOpts::from_args();
-    run_quality_figure(&opts, "MSB-KL", &|g, k, seed| {
-        msb_kl_kway(
-            g,
-            k,
-            &MsbConfig {
-                seed,
-                ..MsbConfig::default()
-            },
-        )
-    });
+    run_quality_figure(&opts, "MSB-KL", &msb_kl_kway);
 }

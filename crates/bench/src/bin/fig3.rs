@@ -6,18 +6,9 @@
 //! ```
 
 use mlgp_bench::{run_quality_figure, BenchOpts};
-use mlgp_spectral::{chaco_ml_kway, ChacoMlConfig};
+use mlgp_spectral::chaco_ml_kway;
 
 fn main() {
     let opts = BenchOpts::from_args();
-    run_quality_figure(&opts, "Chaco-ML", &|g, k, seed| {
-        chaco_ml_kway(
-            g,
-            k,
-            &ChacoMlConfig {
-                seed,
-                ..ChacoMlConfig::default()
-            },
-        )
-    });
+    run_quality_figure(&opts, "Chaco-ML", &chaco_ml_kway);
 }

@@ -8,7 +8,7 @@
 use mlgp_bench::{timed, BenchOpts};
 use mlgp_graph::generators::figure_rows;
 use mlgp_part::{kway_partition, MlConfig};
-use mlgp_spectral::{chaco_ml_kway, msb_kl_kway, msb_kway, ChacoMlConfig, MsbConfig};
+use mlgp_spectral::{chaco_ml_kway, msb_kl_kway, msb_kway};
 
 fn main() {
     let opts = BenchOpts::from_args();
@@ -29,9 +29,9 @@ fn main() {
     for key in opts.select(&figure_rows()) {
         let (_, g) = opts.graph(key);
         let (_, ours) = timed(|| kway_partition(&g, k, &MlConfig::default()));
-        let (_, chaco) = timed(|| chaco_ml_kway(&g, k, &ChacoMlConfig::default()));
-        let (_, msb) = timed(|| msb_kway(&g, k, &MsbConfig::default()));
-        let (_, msbkl) = timed(|| msb_kl_kway(&g, k, &MsbConfig::default()));
+        let (_, chaco) = timed(|| chaco_ml_kway(&g, k, 1919));
+        let (_, msb) = timed(|| msb_kway(&g, k, 777));
+        let (_, msbkl) = timed(|| msb_kl_kway(&g, k, 777));
         println!(
             "{:<6} {:>9.2} {:>9.2} {:>9.2} {:>9.2} {:>9.1} {:>9.1} {:>9.1}",
             key,

@@ -1,8 +1,8 @@
-//! §4.1 (companion report [22]) — initial partitioning algorithms: GGP vs
+//! §4.1 (companion report \[22\]) — initial partitioning algorithms: GGP vs
 //! GGGP vs spectral bisection of the coarsest graph, under HEM + BKLGR.
 //!
 //! The paper summarizes: "GGGP consistently finds smaller edge-cuts than
-//! the other schemes at slightly better run time [and] there is no
+//! the other schemes at slightly better run time \[and\] there is no
 //! advantage in choosing spectral bisection for the coarse graph."
 //!
 //! ```sh

@@ -9,6 +9,13 @@
 //! available"); the mesh-class generators in `mlgp-graph` provide
 //! embeddings, the circuit/LP/network classes deliberately do not.
 //!
+//! RCB and inertial bisection split point sets only and share one
+//! coordinate recursion (`rcb::median_split`). The randomized separators
+//! score their candidates by edge-cut, so they are a graph bisector and
+//! reach k parts through `mlgp_part::kway::recursive_kway_with`, the
+//! recursion behind multilevel k-way; all three give side 0 of a split into
+//! `k` parts `⌈k/2⌉/k` of the weight.
+//!
 //! ```
 //! use mlgp_geom::rcb_partition;
 //! use mlgp_graph::generators::{grid2d, grid2d_coords};

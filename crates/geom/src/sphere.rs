@@ -6,13 +6,15 @@
 //! trials parameter.
 //!
 //! Two families of random surfaces are drawn: random-direction hyperplanes
-//! through the weighted median, and random-center spheres through the
-//! weighted median radius.
+//! and random-center spheres, each placed where side 0 reaches its target
+//! weight (the weighted median for an even split).
 
 use mlgp_graph::generators::Point;
 use mlgp_graph::rng::seeded;
 use mlgp_graph::{CsrGraph, Vid, Wgt};
-use mlgp_part::edge_cut_bisection;
+use mlgp_part::initpart::split_by_values;
+use mlgp_part::kway::recursive_kway_with;
+use mlgp_part::{edge_cut_bisection, BalanceTargets};
 use rand::{rngs::StdRng, RngExt};
 
 /// Configuration for the randomized separator search.
@@ -34,15 +36,22 @@ impl Default for SphereConfig {
     }
 }
 
-/// Bisect by the best of `cfg.trials` random geometric surfaces. Unlike
-/// RCB/inertial, this *looks at the edges* (to score candidates), which is
-/// what buys its better quality at higher cost.
-pub fn sphere_bisect(g: &CsrGraph, points: &[Point], cfg: &SphereConfig) -> Vec<u8> {
+/// Bisect by the best of `cfg.trials` random geometric surfaces, each
+/// split where side 0 reaches its `targets[0]` weight. Unlike RCB/inertial,
+/// this *looks at the edges* (to score candidates), which is what buys its
+/// better quality at higher cost.
+pub fn sphere_bisect(
+    g: &CsrGraph,
+    points: &[Point],
+    targets: [Wgt; 2],
+    cfg: &SphereConfig,
+) -> Vec<u8> {
     assert_eq!(points.len(), g.n());
     let n = g.n();
     if n <= 1 {
         return vec![0; n];
     }
+    let bt = BalanceTargets::new(targets, 1.0);
     let mut rng = seeded(cfg.seed);
     let mut best: Option<(Wgt, Vec<u8>)> = None;
     for trial in 0..cfg.trials.max(1) {
@@ -65,7 +74,7 @@ pub fn sphere_bisect(g: &CsrGraph, points: &[Point], cfg: &SphereConfig) -> Vec<
                 })
                 .collect()
         };
-        let part = median_split(g, &values);
+        let part = split_by_values(g, &values, &bt);
         let cut = edge_cut_bisection(g, &part);
         if best.as_ref().is_none_or(|(bc, _)| cut < *bc) {
             best = Some((cut, part));
@@ -75,53 +84,21 @@ pub fn sphere_bisect(g: &CsrGraph, points: &[Point], cfg: &SphereConfig) -> Vec<
     best.unwrap().1
 }
 
-/// k-way partitioning by recursive randomized-separator bisection.
+/// k-way partitioning by recursive randomized-separator bisection through
+/// [`recursive_kway_with`], the recursion behind multilevel k-way, so side 0
+/// of a split into `k` parts gets `⌈k/2⌉/k` of the weight. The bisection at
+/// recursion path `salt` is seeded with `cfg.seed + salt·φ` (φ the 64-bit
+/// golden ratio).
 pub fn sphere_kway(g: &CsrGraph, points: &[Point], k: usize, cfg: &SphereConfig) -> Vec<u32> {
-    let mut labels = vec![0u32; g.n()];
-    rec(g, points, k, cfg, 1, &mut labels);
-    labels
-}
-
-fn rec(
-    g: &CsrGraph,
-    points: &[Point],
-    k: usize,
-    cfg: &SphereConfig,
-    salt: u64,
-    labels: &mut [u32],
-) {
-    if k <= 1 || g.n() == 0 {
-        return;
-    }
-    let k0 = k.div_ceil(2);
-    let mut c = *cfg;
-    c.seed = cfg.seed.wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15));
-    let part8 = sphere_bisect(g, points, &c);
-    if k == 2 {
-        for (l, &p) in labels.iter_mut().zip(&part8) {
-            *l = p as u32;
-        }
-        return;
-    }
-    let part: Vec<u32> = part8.iter().map(|&p| p as u32).collect();
-    let subs = mlgp_graph::split_by_part(g, &part, 2);
-    for (side, sub) in subs.iter().enumerate() {
-        let sub_pts: Vec<Point> = sub.orig.iter().map(|&v| points[v as usize]).collect();
-        let sub_k = if side == 0 { k0 } else { k - k0 };
-        let mut sub_labels = vec![0u32; sub.graph.n()];
-        rec(
-            &sub.graph,
-            &sub_pts,
-            sub_k,
-            cfg,
-            salt * 2 + side as u64,
-            &mut sub_labels,
-        );
-        let offset = if side == 0 { 0 } else { k0 as u32 };
-        for (i, &orig) in sub.orig.iter().enumerate() {
-            labels[orig as usize] = offset + sub_labels[i];
-        }
-    }
+    assert_eq!(points.len(), g.n());
+    recursive_kway_with(g, k, &|sub: &CsrGraph, ids: &[Vid], targets, salt| {
+        let sub_points: Vec<Point> = ids.iter().map(|&v| points[v as usize]).collect();
+        let c = SphereConfig {
+            seed: cfg.seed.wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15)),
+            ..*cfg
+        };
+        sphere_bisect(sub, &sub_points, targets, &c)
+    })
 }
 
 fn random_unit(rng: &mut StdRng) -> [f64; 3] {
@@ -139,39 +116,22 @@ fn random_unit(rng: &mut StdRng) -> [f64; 3] {
     }
 }
 
-/// Split at the weighted median of `values` (smaller half → part 0).
-fn median_split(g: &CsrGraph, values: &[f64]) -> Vec<u8> {
-    let n = g.n();
-    let mut order: Vec<Vid> = (0..n as Vid).collect();
-    order.sort_by(|&a, &b| {
-        values[a as usize]
-            .partial_cmp(&values[b as usize])
-            .unwrap_or(std::cmp::Ordering::Equal)
-    });
-    let total: Wgt = g.total_vwgt();
-    let mut part = vec![1u8; n];
-    let mut acc = 0;
-    for &v in &order {
-        if acc >= total / 2 {
-            break;
-        }
-        part[v as usize] = 0;
-        acc += g.vwgt()[v as usize];
-    }
-    part
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use mlgp_graph::generators::{grid2d, grid2d_coords, tri_mesh2d, tri_mesh2d_coords};
-    use mlgp_part::{edge_cut_kway, imbalance};
+    use mlgp_part::{edge_cut_kway, imbalance, part_weights};
+
+    fn halves(g: &CsrGraph) -> [Wgt; 2] {
+        let total = g.total_vwgt();
+        [total / 2, total - total / 2]
+    }
 
     #[test]
     fn bisects_grid_reasonably() {
         let g = grid2d(16, 16);
         let pts = grid2d_coords(16, 16);
-        let part = sphere_bisect(&g, &pts, &SphereConfig::default());
+        let part = sphere_bisect(&g, &pts, halves(&g), &SphereConfig::default());
         let cut = edge_cut_bisection(&g, &part);
         // Any straight cut of a 16x16 grid achieves >= 16; random surfaces
         // with 30 trials should find something close.
@@ -184,10 +144,11 @@ mod tests {
     fn more_trials_never_hurt() {
         let g = tri_mesh2d(20, 20, 4);
         let pts = tri_mesh2d_coords(20, 20, 4);
-        let few = sphere_bisect(&g, &pts, &SphereConfig { trials: 2, seed: 9 });
+        let few = sphere_bisect(&g, &pts, halves(&g), &SphereConfig { trials: 2, seed: 9 });
         let many = sphere_bisect(
             &g,
             &pts,
+            halves(&g),
             &SphereConfig {
                 trials: 40,
                 seed: 9,
@@ -200,24 +161,25 @@ mod tests {
 
     #[test]
     fn kway_is_balanced_and_complete() {
+        // Odd and non-power-of-two k split their weight ⌈k/2⌉ : ⌊k/2⌋.
         let g = grid2d(20, 20);
         let pts = grid2d_coords(20, 20);
-        let part = sphere_kway(&g, &pts, 8, &SphereConfig::default());
-        assert!(
-            imbalance(&g, &part, 8) < 1.15,
-            "{}",
-            imbalance(&g, &part, 8)
-        );
-        assert_eq!(part.iter().map(|&p| p as usize).max().unwrap(), 7);
-        assert!(edge_cut_kway(&g, &part) > 0);
+        for k in [3, 5, 6, 7, 8] {
+            let part = sphere_kway(&g, &pts, k, &SphereConfig::default());
+            let imb = imbalance(&g, &part, k);
+            assert!(imb < 1.15, "k={k}: imbalance {imb}");
+            let w = part_weights(&g, &part, k);
+            assert!(w.iter().all(|&x| x > 0), "k={k}: {w:?}");
+            assert!(edge_cut_kway(&g, &part) > 0);
+        }
     }
 
     #[test]
     fn deterministic() {
         let g = grid2d(12, 12);
         let pts = grid2d_coords(12, 12);
-        let a = sphere_bisect(&g, &pts, &SphereConfig::default());
-        let b = sphere_bisect(&g, &pts, &SphereConfig::default());
+        let a = sphere_bisect(&g, &pts, halves(&g), &SphereConfig::default());
+        let b = sphere_bisect(&g, &pts, halves(&g), &SphereConfig::default());
         assert_eq!(a, b);
     }
 }

@@ -3,7 +3,7 @@
 //! The ICPP'95 evaluation draws on finite-element, CFD, VLSI, power-network,
 //! linear-programming and road-map graphs (Table 1). Those specific matrices
 //! are not redistributable here, so each class is synthesized with matching
-//! size and degree structure; [`suite`] assembles the full 24-entry stand-in
+//! size and degree structure; [`suite()`] assembles the full 24-entry stand-in
 //! suite. All generators are pure functions of their parameters and seed.
 
 pub mod coords;

@@ -12,7 +12,7 @@ use crate::mmd::mmd_order;
 use crate::vcover::{vertex_separator, SEPARATOR, SIDE_A, SIDE_B};
 use mlgp_graph::{split_by_part, CsrGraph, Permutation, Vid};
 use mlgp_part::{bisect_targets_traced, MlConfig};
-use mlgp_spectral::{msb_bisect_targets, MsbConfig};
+use mlgp_spectral::msb_bisect_targets;
 use mlgp_trace::{Event, Trace};
 
 /// Which bisection engine drives the dissection.
@@ -20,9 +20,10 @@ use mlgp_trace::{Event, Trace};
 pub enum NdBisector {
     /// Multilevel bisection with the given configuration (MLND).
     Multilevel(MlConfig),
-    /// Multilevel-accelerated spectral bisection (SND). Quality matches
-    /// running Lanczos on each subgraph; see DESIGN.md §2.
-    Spectral(MsbConfig),
+    /// Multilevel-accelerated spectral bisection (SND) with the given seed;
+    /// each split's seed is `seed + salt`. Quality matches running Lanczos
+    /// on each subgraph; see DESIGN.md §2.
+    Spectral(u64),
 }
 
 /// Nested dissection configuration.
@@ -65,7 +66,7 @@ impl NdConfig {
     /// SND configuration.
     pub fn snd() -> Self {
         Self {
-            bisector: NdBisector::Spectral(MsbConfig::default()),
+            bisector: NdBisector::Spectral(777),
             ..Self::default()
         }
     }
@@ -128,11 +129,7 @@ fn order_rec(
         NdBisector::Multilevel(ml) => {
             bisect_targets_traced(sub, &ml.reseed(salt), targets, trace).part
         }
-        NdBisector::Spectral(sc) => {
-            let mut c = *sc;
-            c.seed = sc.seed.wrapping_add(salt);
-            msb_bisect_targets(sub, &c, targets)
-        }
+        NdBisector::Spectral(seed) => msb_bisect_targets(sub, seed.wrapping_add(salt), targets),
     };
     trace.stop(t, "nd/bisect");
     let t = trace.start();

@@ -144,9 +144,6 @@ pub struct MlConfig {
     /// Allowed imbalance: each side may weigh up to `imbalance ×` its
     /// target.
     pub imbalance: f64,
-    /// Number of initial-partition trials; 0 means the scheme's paper
-    /// default (10 for GGP, 5 for GGGP).
-    pub init_trials: usize,
     /// BKLGR switch: use BKLR while boundary size < this fraction of the
     /// *original* vertex count, BGR otherwise (paper: 2%).
     pub hybrid_boundary_frac: f64,
@@ -170,7 +167,6 @@ impl Default for MlConfig {
             min_coarsen_shrink: 0.9,
             early_exit_moves: 50,
             imbalance: 1.03,
-            init_trials: 0,
             hybrid_boundary_frac: 0.02,
             seed: 4242,
             threads: 0,
@@ -179,13 +175,10 @@ impl Default for MlConfig {
 }
 
 impl MlConfig {
-    /// Effective number of initial-partition trials.
+    /// Number of initial-partition trials: the scheme's paper default
+    /// (10 for GGP, 5 for GGGP, 1 for SBP).
     pub fn trials(&self) -> usize {
-        if self.init_trials > 0 {
-            self.init_trials
-        } else {
-            self.initial.default_trials()
-        }
+        self.initial.default_trials()
     }
 
     /// Derive a decorrelated configuration for a sub-problem (recursive
@@ -214,13 +207,17 @@ mod tests {
 
     #[test]
     fn trials_follow_scheme_defaults() {
-        let mut c = MlConfig {
-            initial: InitialPartitioning::GraphGrowing,
-            ..MlConfig::default()
-        };
-        assert_eq!(c.trials(), 10);
-        c.init_trials = 3;
-        assert_eq!(c.trials(), 3);
+        for (initial, trials) in [
+            (InitialPartitioning::GraphGrowing, 10),
+            (InitialPartitioning::GreedyGraphGrowing, 5),
+            (InitialPartitioning::Spectral, 1),
+        ] {
+            let c = MlConfig {
+                initial,
+                ..MlConfig::default()
+            };
+            assert_eq!(c.trials(), trials, "{initial:?}");
+        }
     }
 
     #[test]

@@ -9,7 +9,7 @@
 use crate::bisect::bisect_targets_branch;
 use crate::config::MlConfig;
 use crate::metrics::edge_cut_kway;
-use mlgp_graph::{split_by_part, CsrGraph, Wgt};
+use mlgp_graph::{split_by_part, CsrGraph, Vid, Wgt};
 use mlgp_trace::Trace;
 
 /// Result of a k-way partitioning.
@@ -38,7 +38,7 @@ pub fn kway_partition(g: &CsrGraph, k: usize, cfg: &MlConfig) -> KwayResult {
 /// separable. The trace handle crosses the rayon forks.
 pub fn kway_partition_traced(g: &CsrGraph, k: usize, cfg: &MlConfig, trace: &Trace) -> KwayResult {
     assert!(k >= 1, "k must be at least 1");
-    let part = recursive_kway_with(g, k, &|sub, targets, salt| {
+    let part = recursive_kway_with(g, k, &|sub, _, targets, salt| {
         bisect_targets_branch(sub, &cfg.reseed(salt), targets, trace, salt).part
     });
     let edge_cut = edge_cut_kway(g, &part);
@@ -50,26 +50,29 @@ pub fn kway_partition_traced(g: &CsrGraph, k: usize, cfg: &MlConfig, trace: &Tra
 }
 
 /// Recursive k-way driver over an arbitrary bisector — the one recursion
-/// behind multilevel k-way and the spectral baselines (MSB, MSB-KL,
-/// Chaco-ML), which the paper lifts to k-way the same way.
+/// behind multilevel k-way, the spectral baselines (MSB, MSB-KL, Chaco-ML)
+/// and the randomized geometric separators, which the paper lifts to k-way
+/// the same way.
 ///
-/// The bisector receives the subgraph, the `[side0, side1]` weight targets
-/// (side 0 gets `⌈k/2⌉/k` of the weight) and a deterministic salt that
-/// identifies the recursion path (1 at the root, `2s`/`2s+1` below `s`), and
-/// returns 0/1 labels. It is called only on subgraphs of at least 2
-/// vertices, so `k` may exceed the vertex count.
+/// The bisector receives the subgraph, the ids of its vertices in `g`
+/// (which lets a bisector look up per-vertex data such as coordinates), the
+/// `[side0, side1]` weight targets (side 0 gets `⌈k/2⌉/k` of the weight)
+/// and a deterministic salt that identifies the recursion path (1 at the
+/// root, `2s`/`2s+1` below `s`), and returns 0/1 labels. It is called only
+/// on subgraphs of at least 2 vertices, so `k` may exceed the vertex count.
 pub fn recursive_kway_with<F>(g: &CsrGraph, k: usize, bisector: &F) -> Vec<u32>
 where
-    F: Fn(&CsrGraph, [Wgt; 2], u64) -> Vec<u8> + Sync,
+    F: Fn(&CsrGraph, &[Vid], [Wgt; 2], u64) -> Vec<u8> + Sync,
 {
     let mut part = vec![0u32; g.n()];
-    rec_with(g, k, bisector, 1, &mut part);
+    let ids: Vec<Vid> = (0..g.n() as Vid).collect();
+    rec_with(g, &ids, k, bisector, 1, &mut part);
     part
 }
 
-fn rec_with<F>(g: &CsrGraph, k: usize, bisector: &F, salt: u64, part: &mut [u32])
+fn rec_with<F>(g: &CsrGraph, ids: &[Vid], k: usize, bisector: &F, salt: u64, part: &mut [u32])
 where
-    F: Fn(&CsrGraph, [Wgt; 2], u64) -> Vec<u8> + Sync,
+    F: Fn(&CsrGraph, &[Vid], [Wgt; 2], u64) -> Vec<u8> + Sync,
 {
     // A single vertex is never bisected: it takes label 0, the side with
     // the larger target.
@@ -83,7 +86,7 @@ where
     let k1 = k - k0;
     let total = g.total_vwgt();
     let t0 = ((total as i128 * k0 as i128) / k as i128) as Wgt;
-    let bpart8 = bisector(g, [t0, total - t0], salt);
+    let bpart8 = bisector(g, ids, [t0, total - t0], salt);
     if k == 2 {
         for (p, &side) in part.iter_mut().zip(&bpart8) {
             *p = side as u32;
@@ -93,16 +96,18 @@ where
     let bpart: Vec<u32> = bpart8.iter().map(|&s| s as u32).collect();
     let subs = split_by_part(g, &bpart, 2);
     let (s0, s1) = (&subs[0], &subs[1]);
+    let ids0: Vec<Vid> = s0.orig.iter().map(|&v| ids[v as usize]).collect();
+    let ids1: Vec<Vid> = s1.orig.iter().map(|&v| ids[v as usize]).collect();
     let mut part0 = vec![0u32; s0.graph.n()];
     let mut part1 = vec![0u32; s1.graph.n()];
     if g.n() >= PARALLEL_THRESHOLD {
         rayon::join(
-            || rec_with(&s0.graph, k0, bisector, salt * 2, &mut part0),
-            || rec_with(&s1.graph, k1, bisector, salt * 2 + 1, &mut part1),
+            || rec_with(&s0.graph, &ids0, k0, bisector, salt * 2, &mut part0),
+            || rec_with(&s1.graph, &ids1, k1, bisector, salt * 2 + 1, &mut part1),
         );
     } else {
-        rec_with(&s0.graph, k0, bisector, salt * 2, &mut part0);
-        rec_with(&s1.graph, k1, bisector, salt * 2 + 1, &mut part1);
+        rec_with(&s0.graph, &ids0, k0, bisector, salt * 2, &mut part0);
+        rec_with(&s1.graph, &ids1, k1, bisector, salt * 2 + 1, &mut part1);
     }
     for (i, &orig) in s0.orig.iter().enumerate() {
         part[orig as usize] = part0[i];

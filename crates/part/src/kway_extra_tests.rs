@@ -8,15 +8,16 @@ use crate::refine::BalanceTargets;
 use mlgp_graph::generators::{
     grid2d, hierarchical_lp, powergrid, powerlaw, stiffness3d, tri_mesh2d,
 };
-use mlgp_graph::CsrGraph;
+use mlgp_graph::{CsrGraph, Vid};
 use mlgp_trace::Trace;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Mutex;
 
 #[test]
 fn generic_driver_matches_builtin_kway() {
     let g = grid2d(20, 20);
     let cfg = MlConfig::default();
-    let generic = recursive_kway_with(&g, 4, &|sub: &mlgp_graph::CsrGraph, targets, salt| {
+    let generic = recursive_kway_with(&g, 4, &|sub: &CsrGraph, _, targets, salt| {
         bisect_targets(sub, &cfg.reseed(salt), targets).part
     });
     let builtin = kway_partition(&g, 4, &cfg);
@@ -28,7 +29,7 @@ fn generic_driver_with_trivial_bisector_balances() {
     // A "first half / second half" bisector by weight still yields balanced
     // parts through the recursion.
     let g = grid2d(16, 16);
-    let part = recursive_kway_with(&g, 8, &|sub: &mlgp_graph::CsrGraph, targets, _| {
+    let part = recursive_kway_with(&g, 8, &|sub: &CsrGraph, _, targets, _| {
         let mut out = vec![1u8; sub.n()];
         let mut w = 0;
         for (o, &vw) in out.iter_mut().zip(sub.vwgt()) {
@@ -68,7 +69,7 @@ fn every_kway_bisection_ends_within_its_bound() {
                     ..MlConfig::default()
                 };
                 let count = Mutex::new(0usize);
-                recursive_kway_with(g, k, &|sub: &CsrGraph, targets, salt| {
+                recursive_kway_with(g, k, &|sub: &CsrGraph, _, targets, salt| {
                     let r = bisect_targets_branch(
                         sub,
                         &cfg.reseed(salt),
@@ -95,4 +96,38 @@ fn every_kway_bisection_ends_within_its_bound() {
     let failures = failures.into_inner().unwrap_or_else(|e| e.into_inner());
     assert!(failures.is_empty(), "{failures:#?}");
     assert!(bisections > 1000, "{bisections} bisections");
+}
+
+/// The ids handed to the bisector name each subgraph vertex in the input
+/// graph: the vertex weights and every subgraph edge with its weight match
+/// the input, and the two halves of a split hold disjoint ids drawn from
+/// their parent's.
+#[test]
+fn bisector_ids_name_input_vertices() {
+    let g = tri_mesh2d(20, 20, 7);
+    let cfg = MlConfig::default();
+    let seen = Mutex::new(BTreeMap::new());
+    recursive_kway_with(&g, 7, &|sub: &CsrGraph, ids: &[Vid], targets, salt| {
+        assert_eq!(ids.len(), sub.n());
+        for (a, &id) in ids.iter().enumerate() {
+            assert_eq!(sub.vwgt()[a], g.vwgt()[id as usize]);
+            for (b, w) in sub.adj(a as Vid) {
+                assert!(g.adj(id).any(|(u, wu)| u == ids[b as usize] && wu == w));
+            }
+        }
+        let mut seen = seen.lock().unwrap_or_else(|e| e.into_inner());
+        seen.insert(salt, ids.iter().copied().collect::<BTreeSet<Vid>>());
+        bisect_targets(sub, &cfg.reseed(salt), targets).part
+    });
+    let seen = seen.into_inner().unwrap_or_else(|e| e.into_inner());
+    assert_eq!(seen[&1].len(), g.n());
+    assert!(seen.len() > 3, "{} bisections", seen.len());
+    for (&salt, ids) in &seen {
+        if salt > 1 {
+            assert!(ids.is_subset(&seen[&(salt / 2)]), "salt {salt}");
+        }
+        if let Some(sibling) = seen.get(&(salt ^ 1)) {
+            assert!(ids.is_disjoint(sibling), "salt {salt}");
+        }
+    }
 }

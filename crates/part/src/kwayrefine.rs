@@ -13,7 +13,7 @@
 //! past the balance bound `ub`. A move is legal when its gain is positive,
 //! or zero with the destination lighter than the vertex's part before the
 //! move. Every gain is exact, so the cut never increases; the sweep stops
-//! after a pass that lowers the cut by nothing, or at `max_passes`. The
+//! after a pass that lowers the cut by nothing, or at `MAX_PASSES` (24). The
 //! result is a pure function of `(graph, partition, k, options.seed)`.
 //!
 //! Only a boundary vertex can have a legal move, so the kernel keeps, for
@@ -30,11 +30,13 @@ use mlgp_graph::rng::{random_order, seeded};
 use mlgp_graph::{CsrGraph, Vid, Wgt};
 use mlgp_trace::{Event, Trace, SPAN_REFINE};
 
+/// Passes over the vertices after which the greedy k-way sweep stops even
+/// if the last pass lowered the cut.
+const MAX_PASSES: usize = 24;
+
 /// Options for the greedy k-way sweep.
 #[derive(Clone, Copy, Debug)]
 pub struct KwayRefineOptions {
-    /// Maximum passes over the vertices.
-    pub max_passes: usize,
     /// Per-part weight may not exceed `imbalance ×` the average.
     pub imbalance: f64,
     /// Seed for the visit order.
@@ -47,7 +49,6 @@ pub struct KwayRefineOptions {
 impl Default for KwayRefineOptions {
     fn default() -> Self {
         Self {
-            max_passes: 24,
             imbalance: 1.03,
             seed: 0x6b77,
             threads: 0,
@@ -116,7 +117,7 @@ pub fn kway_refine_stats(
         })
         .collect();
 
-    for _ in 0..opts.max_passes.max(1) {
+    for _ in 0..MAX_PASSES {
         let cut_at_start = cut;
         for &v in &order {
             let v = v as usize;
@@ -244,7 +245,7 @@ mod tests {
         let total: Wgt = pwgts.iter().sum();
         let ub = (total as f64 / k as f64 * opts.imbalance).ceil() as Wgt;
         let mut cut = edge_cut_kway(g, part);
-        for _ in 0..opts.max_passes.max(1) {
+        for _ in 0..MAX_PASSES {
             for &v in &order {
                 let v = v as usize;
                 let home = part[v] as usize;

@@ -10,30 +10,15 @@ use mlgp_part::refine::fm::BalanceTargets;
 use mlgp_part::refine::{refine_level, BisectState};
 use mlgp_part::{coarsen, InitialPartitioning, MatchingScheme, MlConfig, RefinementPolicy};
 
-/// Configuration for the Chaco-ML baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct ChacoMlConfig {
-    /// Coarsening threshold.
-    pub coarsen_to: usize,
-    /// Allowed imbalance.
-    pub imbalance: f64,
-    /// Seed for the random matchings.
-    pub seed: u64,
-}
+/// Coarsening stops at this many vertices.
+const COARSEN_TO: usize = 100;
+/// Allowed imbalance.
+const IMBALANCE: f64 = 1.03;
 
-impl Default for ChacoMlConfig {
-    fn default() -> Self {
-        Self {
-            coarsen_to: 100,
-            imbalance: 1.03,
-            seed: 1919,
-        }
-    }
-}
-
-/// Chaco-ML bisection with explicit weight targets. Every kernel is
-/// serial; the bisection is bit-identical under any pool.
-pub fn chaco_ml_bisect_targets(g: &CsrGraph, cfg: &ChacoMlConfig, target: [Wgt; 2]) -> Vec<u8> {
+/// Chaco-ML bisection with explicit weight targets; `seed` drives the
+/// random matchings. Every kernel is serial; the bisection is
+/// bit-identical under any pool.
+pub fn chaco_ml_bisect_targets(g: &CsrGraph, seed: u64, target: [Wgt; 2]) -> Vec<u8> {
     let n = g.n();
     if n == 0 {
         return Vec::new();
@@ -42,13 +27,13 @@ pub fn chaco_ml_bisect_targets(g: &CsrGraph, cfg: &ChacoMlConfig, target: [Wgt; 
         matching: MatchingScheme::Random,
         initial: InitialPartitioning::Spectral,
         refinement: RefinementPolicy::KernighanLin,
-        coarsen_to: cfg.coarsen_to,
-        imbalance: cfg.imbalance,
-        seed: cfg.seed,
+        coarsen_to: COARSEN_TO,
+        imbalance: IMBALANCE,
+        seed,
         ..MlConfig::default()
     };
-    let bt = BalanceTargets::new(target, cfg.imbalance);
-    let mut rng = mlgp_graph::rng::seeded(cfg.seed);
+    let bt = BalanceTargets::new(target, IMBALANCE);
+    let mut rng = mlgp_graph::rng::seeded(seed);
     let h = coarsen(g, &ml, &mut rng);
     // Spectral bisection of the coarsest graph.
     let mut part = initial_partition(
@@ -78,19 +63,18 @@ pub fn chaco_ml_bisect_targets(g: &CsrGraph, cfg: &ChacoMlConfig, target: [Wgt; 
 }
 
 /// Chaco-ML bisection into equal halves. Returns `(part, cut)`.
-pub fn chaco_ml_bisect(g: &CsrGraph, cfg: &ChacoMlConfig) -> (Vec<u8>, Wgt) {
+pub fn chaco_ml_bisect(g: &CsrGraph, seed: u64) -> (Vec<u8>, Wgt) {
     let total = g.total_vwgt();
-    let part = chaco_ml_bisect_targets(g, cfg, [total / 2, total - total / 2]);
+    let part = chaco_ml_bisect_targets(g, seed, [total / 2, total - total / 2]);
     let cut = mlgp_part::edge_cut_bisection(g, &part);
     (part, cut)
 }
 
-/// k-way Chaco-ML by recursive bisection.
-pub fn chaco_ml_kway(g: &CsrGraph, k: usize, cfg: &ChacoMlConfig) -> Vec<u32> {
-    recursive_kway_with(g, k, &|sub: &CsrGraph, targets, salt| {
-        let mut c = *cfg;
-        c.seed = cfg.seed.wrapping_add(salt);
-        chaco_ml_bisect_targets(sub, &c, targets)
+/// k-way Chaco-ML by recursive bisection; each bisection's seed is
+/// `seed + salt`.
+pub fn chaco_ml_kway(g: &CsrGraph, k: usize, seed: u64) -> Vec<u32> {
+    recursive_kway_with(g, k, &|sub: &CsrGraph, _, targets, salt| {
+        chaco_ml_bisect_targets(sub, seed.wrapping_add(salt), targets)
     })
 }
 
@@ -103,7 +87,7 @@ mod tests {
     #[test]
     fn bisects_grid_sanely() {
         let g = grid2d(24, 24);
-        let (part, cut) = chaco_ml_bisect(&g, &ChacoMlConfig::default());
+        let (part, cut) = chaco_ml_bisect(&g, 1919);
         let pw = [
             part.iter().filter(|&&p| p == 0).count() as Wgt,
             part.iter().filter(|&&p| p == 1).count() as Wgt,
@@ -116,7 +100,7 @@ mod tests {
     #[test]
     fn kway_balanced_on_mesh() {
         let g = tri_mesh2d(18, 18, 2);
-        let part = chaco_ml_kway(&g, 4, &ChacoMlConfig::default());
+        let part = chaco_ml_kway(&g, 4, 1919);
         let w = part_weights(&g, &part, 4);
         assert!(w.iter().all(|&x| x > 0), "{w:?}");
         assert!(imbalance(&g, &part, 4) < 1.15);
@@ -126,8 +110,8 @@ mod tests {
     #[test]
     fn deterministic() {
         let g = grid2d(16, 16);
-        let a = chaco_ml_bisect(&g, &ChacoMlConfig::default());
-        let b = chaco_ml_bisect(&g, &ChacoMlConfig::default());
+        let a = chaco_ml_bisect(&g, 1919);
+        let b = chaco_ml_bisect(&g, 1919);
         assert_eq!(a, b);
     }
 }

@@ -5,7 +5,6 @@ use mlgp_graph::{CsrGraph, GraphBuilder};
 use mlgp_part::{edge_cut_bisection, edge_cut_kway, part_weights, BalanceTargets};
 use mlgp_spectral::{
     chaco_ml_bisect_targets, chaco_ml_kway, msb_bisect_targets, msb_fiedler, msb_kl_bisect_targets,
-    ChacoMlConfig, MsbConfig,
 };
 use proptest::prelude::*;
 use rand::RngExt;
@@ -38,8 +37,7 @@ proptest! {
         let g = random_connected(n, extra, seed);
         let total = g.total_vwgt();
         let targets = [total / 2, total - total / 2];
-        let cfg = MsbConfig { seed, ..MsbConfig::default() };
-        let part = msb_bisect_targets(&g, &cfg, targets);
+        let part = msb_bisect_targets(&g, seed, targets);
         let pw = {
             let p32: Vec<u32> = part.iter().map(|&x| x as u32).collect();
             part_weights(&g, &p32, 2)
@@ -57,9 +55,8 @@ proptest! {
         let g = random_connected(n, extra, seed);
         let total = g.total_vwgt();
         let targets = [total / 2, total - total / 2];
-        let cfg = MsbConfig { seed, ..MsbConfig::default() };
-        let plain = edge_cut_bisection(&g, &msb_bisect_targets(&g, &cfg, targets));
-        let kl = edge_cut_bisection(&g, &msb_kl_bisect_targets(&g, &cfg, targets));
+        let plain = edge_cut_bisection(&g, &msb_bisect_targets(&g, seed, targets));
+        let kl = edge_cut_bisection(&g, &msb_kl_bisect_targets(&g, seed, targets));
         prop_assert!(kl <= plain, "KL {} vs {}", kl, plain);
     }
 
@@ -72,9 +69,8 @@ proptest! {
         let g = random_connected(n, extra, seed);
         let total = g.total_vwgt();
         let targets = [total / 2, total - total / 2];
-        let cfg = ChacoMlConfig { seed, ..ChacoMlConfig::default() };
-        let a = chaco_ml_bisect_targets(&g, &cfg, targets);
-        let b = chaco_ml_bisect_targets(&g, &cfg, targets);
+        let a = chaco_ml_bisect_targets(&g, seed, targets);
+        let b = chaco_ml_bisect_targets(&g, seed, targets);
         prop_assert_eq!(&a, &b);
         let p32: Vec<u32> = a.iter().map(|&x| x as u32).collect();
         let pw = part_weights(&g, &p32, 2);
@@ -89,7 +85,7 @@ proptest! {
         seed in 0u64..200,
     ) {
         let g = random_connected(n, extra, seed);
-        let f = msb_fiedler(&g, &MsbConfig { seed, ..MsbConfig::default() });
+        let f = msb_fiedler(&g, seed);
         prop_assert_eq!(f.len(), n);
         // Orthogonal to constants and not the zero vector.
         let sum: f64 = f.iter().sum();
@@ -106,7 +102,7 @@ proptest! {
         seed in 0u64..100,
     ) {
         let g = random_connected(n, extra, seed);
-        let part = chaco_ml_kway(&g, k, &ChacoMlConfig { seed, ..ChacoMlConfig::default() });
+        let part = chaco_ml_kway(&g, k, seed);
         let mut present = vec![false; k];
         for &p in &part {
             prop_assert!((p as usize) < k);

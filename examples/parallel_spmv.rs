@@ -47,9 +47,10 @@ fn main() {
     let ml = kway_partition(&g, p, &MlConfig::default());
     report("multilevel", &g, &ml.part, p, t.elapsed().as_secs_f64());
 
-    // (c) multilevel spectral bisection baseline.
+    // (c) multilevel spectral bisection baseline; its only input besides
+    // the graph and p is a seed.
     let t = Instant::now();
-    let msb = msb_kway(&g, p, &MsbConfig::default());
+    let msb = msb_kway(&g, p, 777);
     report("msb", &g, &msb, p, t.elapsed().as_secs_f64());
 
     let naive_cut = edge_cut_kway(&g, &naive);

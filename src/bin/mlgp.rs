@@ -251,30 +251,9 @@ fn partition(pos: &[&str], opts: &[(&str, &str)], threads: usize) -> Result<(), 
             &trace,
         )
         .part),
-        "msb" => Ok(msb_kway(
-            &g,
-            k,
-            &MsbConfig {
-                seed,
-                ..MsbConfig::default()
-            },
-        )),
-        "msb-kl" => Ok(msb_kl_kway(
-            &g,
-            k,
-            &MsbConfig {
-                seed,
-                ..MsbConfig::default()
-            },
-        )),
-        "chaco" => Ok(chaco_ml_kway(
-            &g,
-            k,
-            &ChacoMlConfig {
-                seed,
-                ..ChacoMlConfig::default()
-            },
-        )),
+        "msb" => Ok(msb_kway(&g, k, seed)),
+        "msb-kl" => Ok(msb_kl_kway(&g, k, seed)),
+        "chaco" => Ok(chaco_ml_kway(&g, k, seed)),
         other => Err(format!(
             "unknown method `{other}` (ml|ml-refined|msb|msb-kl|chaco)"
         )),

@@ -53,6 +53,6 @@ pub mod prelude {
         MlConfig, RefinementPolicy,
     };
     pub use mlgp_part::{kway_partition_refined, kway_refine_greedy};
-    pub use mlgp_spectral::{chaco_ml_kway, msb_kl_kway, msb_kway, ChacoMlConfig, MsbConfig};
+    pub use mlgp_spectral::{chaco_ml_kway, msb_kl_kway, msb_kway};
     pub use mlgp_trace::Trace;
 }

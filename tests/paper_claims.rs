@@ -108,7 +108,7 @@ fn claim_multilevel_quality_holds_against_msb() {
             .unwrap()
             .generate_scaled(scale);
         ours_total += kway_partition(&g, k, &MlConfig::default()).edge_cut;
-        let m = msb_kway(&g, k, &MsbConfig::default());
+        let m = msb_kway(&g, k, 777);
         msb_total += edge_cut_kway(&g, &m);
     }
     assert!(
@@ -149,7 +149,7 @@ fn claim_multilevel_is_much_faster_than_msb() {
     let _ = kway_partition(&g, k, &MlConfig::default());
     let ours = t.elapsed();
     let t = std::time::Instant::now();
-    let _ = msb_kway(&g, k, &MsbConfig::default());
+    let _ = msb_kway(&g, k, 777);
     let msb = t.elapsed();
     assert!(
         msb > 2 * ours,

@@ -33,7 +33,7 @@ fn multilevel_no_worse_than_spectral_baselines_on_mesh() {
     let g = mlgp::graph::generators::tet_mesh3d(d, d, d, 3);
     let k = 8;
     let ml = kway_partition(&g, k, &MlConfig::default());
-    let msb = msb_kway(&g, k, &MsbConfig::default());
+    let msb = msb_kway(&g, k, 777);
     let msb_cut = edge_cut_kway(&g, &msb);
     assert!(
         (ml.edge_cut as f64) <= 1.15 * msb_cut as f64,
@@ -102,8 +102,8 @@ fn chaco_ml_and_msb_kl_are_sane_on_grid() {
     let g = mlgp::graph::generators::grid2d(32, 32);
     let ours = kway_partition(&g, 4, &MlConfig::default()).edge_cut;
     for (name, part) in [
-        ("chaco", chaco_ml_kway(&g, 4, &ChacoMlConfig::default())),
-        ("msb-kl", msb_kl_kway(&g, 4, &MsbConfig::default())),
+        ("chaco", chaco_ml_kway(&g, 4, 1919)),
+        ("msb-kl", msb_kl_kway(&g, 4, 777)),
     ] {
         let cut = edge_cut_kway(&g, &part);
         assert!(imbalance(&g, &part, 4) < 1.10, "{name}");
