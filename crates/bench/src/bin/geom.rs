@@ -5,15 +5,17 @@
 //! "geometric partitioning algorithms tend to be fast but often yield
 //! partitions that are worse than those obtained by spectral methods …
 //! multiple trials are often required". RCB and inertial are near-instant
-//! but cut more; the randomized-separator scheme closes part of the gap at
-//! the cost of its trials; the multilevel scheme dominates on quality.
+//! and cut more on irregular meshes; the randomized-separator scheme closes
+//! part of the gap at the cost of its trials. The multilevel scheme cuts
+//! least on the irregular 4ELT and WAVE meshes, but RCB's straight cuts
+//! beat it on the regular SHYY grid and the LS34 L-shape.
 //!
 //! ```sh
 //! cargo run --release -p mlgp-bench --bin geom [--scale F] [--parts 32]
 //! ```
 
 use mlgp_bench::{group_thousands, timed, BenchOpts};
-use mlgp_geom::{inertial_partition, rcb_partition, sphere_kway, SphereConfig};
+use mlgp_geom::{inertial_partition, rcb_partition, sphere_kway};
 use mlgp_graph::generators as gen;
 use mlgp_graph::generators::Point;
 use mlgp_graph::CsrGraph;
@@ -70,7 +72,7 @@ fn main() {
         }
         let (rcb, t_rcb) = timed(|| rcb_partition(&pts, g.vwgt(), k));
         let (inr, t_inr) = timed(|| inertial_partition(&pts, g.vwgt(), k));
-        let (sph, t_sph) = timed(|| sphere_kway(&g, &pts, k, &SphereConfig::default()));
+        let (sph, t_sph) = timed(|| sphere_kway(&g, &pts, k, 0x5e7a));
         let (ml, t_ml) = timed(|| kway_partition(&g, k, &MlConfig::default()));
         println!(
             "{:<6} {:>9} | {:>10} {:>7.3} | {:>10} {:>7.3} | {:>10} {:>7.3} | {:>10} {:>7.3}",

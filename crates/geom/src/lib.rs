@@ -30,4 +30,4 @@ pub mod sphere;
 
 pub use inertial::inertial_partition;
 pub use rcb::rcb_partition;
-pub use sphere::{sphere_bisect, sphere_kway, SphereConfig};
+pub use sphere::{sphere_bisect, sphere_kway};

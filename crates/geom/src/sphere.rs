@@ -3,7 +3,7 @@
 //! edge-cut kept. The paper's observation — "due to the randomized nature
 //! of these algorithms, multiple trials are often required to obtain
 //! solutions comparable to spectral methods" — is directly visible in the
-//! trials parameter.
+//! trial count: 30 random surfaces per bisection.
 //!
 //! Two families of random surfaces are drawn: random-direction hyperplanes
 //! and random-center spheres, each placed where side 0 reaches its target
@@ -17,34 +17,24 @@ use mlgp_part::kway::recursive_kway_with;
 use mlgp_part::{edge_cut_bisection, BalanceTargets};
 use rand::{rngs::StdRng, RngExt};
 
-/// Configuration for the randomized separator search.
-#[derive(Clone, Copy, Debug)]
-pub struct SphereConfig {
-    /// Number of random surfaces tried per bisection (the paper's
-    /// "multiple trials").
-    pub trials: usize,
-    /// RNG seed.
-    pub seed: u64,
+/// Number of random surfaces tried per bisection (the paper's "multiple
+/// trials").
+const TRIALS: usize = 30;
+
+/// Bisect by the best of 30 random geometric surfaces drawn from
+/// `seed`, each split where side 0 reaches its `targets[0]` weight. Unlike
+/// RCB/inertial, this *looks at the edges* (to score candidates), which is
+/// what buys its better quality at higher cost.
+pub fn sphere_bisect(g: &CsrGraph, points: &[Point], targets: [Wgt; 2], seed: u64) -> Vec<u8> {
+    best_of_trials(g, points, targets, TRIALS, seed)
 }
 
-impl Default for SphereConfig {
-    fn default() -> Self {
-        Self {
-            trials: 30,
-            seed: 0x5e7a,
-        }
-    }
-}
-
-/// Bisect by the best of `cfg.trials` random geometric surfaces, each
-/// split where side 0 reaches its `targets[0]` weight. Unlike RCB/inertial,
-/// this *looks at the edges* (to score candidates), which is what buys its
-/// better quality at higher cost.
-pub fn sphere_bisect(
+fn best_of_trials(
     g: &CsrGraph,
     points: &[Point],
     targets: [Wgt; 2],
-    cfg: &SphereConfig,
+    trials: usize,
+    seed: u64,
 ) -> Vec<u8> {
     assert_eq!(points.len(), g.n());
     let n = g.n();
@@ -52,9 +42,9 @@ pub fn sphere_bisect(
         return vec![0; n];
     }
     let bt = BalanceTargets::new(targets, 1.0);
-    let mut rng = seeded(cfg.seed);
+    let mut rng = seeded(seed);
     let mut best: Option<(Wgt, Vec<u8>)> = None;
-    for trial in 0..cfg.trials.max(1) {
+    for trial in 0..trials.max(1) {
         // Alternate hyperplane and sphere candidates.
         let values: Vec<f64> = if trial % 2 == 0 {
             let d = random_unit(&mut rng);
@@ -87,17 +77,14 @@ pub fn sphere_bisect(
 /// k-way partitioning by recursive randomized-separator bisection through
 /// [`recursive_kway_with`], the recursion behind multilevel k-way, so side 0
 /// of a split into `k` parts gets `⌈k/2⌉/k` of the weight. The bisection at
-/// recursion path `salt` is seeded with `cfg.seed + salt·φ` (φ the 64-bit
+/// recursion path `salt` is seeded with `seed + salt·φ` (φ the 64-bit
 /// golden ratio).
-pub fn sphere_kway(g: &CsrGraph, points: &[Point], k: usize, cfg: &SphereConfig) -> Vec<u32> {
+pub fn sphere_kway(g: &CsrGraph, points: &[Point], k: usize, seed: u64) -> Vec<u32> {
     assert_eq!(points.len(), g.n());
     recursive_kway_with(g, k, &|sub: &CsrGraph, ids: &[Vid], targets, salt| {
         let sub_points: Vec<Point> = ids.iter().map(|&v| points[v as usize]).collect();
-        let c = SphereConfig {
-            seed: cfg.seed.wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15)),
-            ..*cfg
-        };
-        sphere_bisect(sub, &sub_points, targets, &c)
+        let sub_seed = seed.wrapping_add(salt.wrapping_mul(0x9E3779B97F4A7C15));
+        sphere_bisect(sub, &sub_points, targets, sub_seed)
     })
 }
 
@@ -122,6 +109,8 @@ mod tests {
     use mlgp_graph::generators::{grid2d, grid2d_coords, tri_mesh2d, tri_mesh2d_coords};
     use mlgp_part::{edge_cut_kway, imbalance, part_weights};
 
+    const SEED: u64 = 0x5e7a;
+
     fn halves(g: &CsrGraph) -> [Wgt; 2] {
         let total = g.total_vwgt();
         [total / 2, total - total / 2]
@@ -131,7 +120,7 @@ mod tests {
     fn bisects_grid_reasonably() {
         let g = grid2d(16, 16);
         let pts = grid2d_coords(16, 16);
-        let part = sphere_bisect(&g, &pts, halves(&g), &SphereConfig::default());
+        let part = sphere_bisect(&g, &pts, halves(&g), SEED);
         let cut = edge_cut_bisection(&g, &part);
         // Any straight cut of a 16x16 grid achieves >= 16; random surfaces
         // with 30 trials should find something close.
@@ -144,16 +133,8 @@ mod tests {
     fn more_trials_never_hurt() {
         let g = tri_mesh2d(20, 20, 4);
         let pts = tri_mesh2d_coords(20, 20, 4);
-        let few = sphere_bisect(&g, &pts, halves(&g), &SphereConfig { trials: 2, seed: 9 });
-        let many = sphere_bisect(
-            &g,
-            &pts,
-            halves(&g),
-            &SphereConfig {
-                trials: 40,
-                seed: 9,
-            },
-        );
+        let few = best_of_trials(&g, &pts, halves(&g), 2, 9);
+        let many = best_of_trials(&g, &pts, halves(&g), 40, 9);
         // Trials share the seed stream, so the 40-trial run sees the
         // 2-trial candidates plus 38 more.
         assert!(edge_cut_bisection(&g, &many) <= edge_cut_bisection(&g, &few));
@@ -165,7 +146,7 @@ mod tests {
         let g = grid2d(20, 20);
         let pts = grid2d_coords(20, 20);
         for k in [3, 5, 6, 7, 8] {
-            let part = sphere_kway(&g, &pts, k, &SphereConfig::default());
+            let part = sphere_kway(&g, &pts, k, SEED);
             let imb = imbalance(&g, &part, k);
             assert!(imb < 1.15, "k={k}: imbalance {imb}");
             let w = part_weights(&g, &part, k);
@@ -178,8 +159,8 @@ mod tests {
     fn deterministic() {
         let g = grid2d(12, 12);
         let pts = grid2d_coords(12, 12);
-        let a = sphere_bisect(&g, &pts, halves(&g), &SphereConfig::default());
-        let b = sphere_bisect(&g, &pts, halves(&g), &SphereConfig::default());
+        let a = sphere_bisect(&g, &pts, halves(&g), SEED);
+        let b = sphere_bisect(&g, &pts, halves(&g), SEED);
         assert_eq!(a, b);
     }
 }

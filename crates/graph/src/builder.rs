@@ -70,11 +70,6 @@ impl GraphBuilder {
         self
     }
 
-    /// Number of (possibly duplicate) edges added so far.
-    pub fn edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalize into a CSR graph.
     pub fn build(self) -> CsrGraph {
         let n = self.n;

@@ -69,31 +69,6 @@ pub fn connect_components(g: &CsrGraph) -> CsrGraph {
     b.build()
 }
 
-/// BFS eccentricity-ish estimate: the farthest vertex (by hops) from `start`
-/// and its distance. Used by graph-growing partitioners to pick pseudo-
-/// peripheral seeds and by tests as a cheap diameter proxy.
-pub fn bfs_farthest(g: &CsrGraph, start: Vid) -> (Vid, usize) {
-    let n = g.n();
-    let mut dist = vec![usize::MAX; n];
-    let mut queue = std::collections::VecDeque::new();
-    dist[start as usize] = 0;
-    queue.push_back(start);
-    let mut far = (start, 0usize);
-    while let Some(v) = queue.pop_front() {
-        let d = dist[v as usize];
-        if d > far.1 {
-            far = (v, d);
-        }
-        for &u in g.neighbors(v) {
-            if dist[u as usize] == usize::MAX {
-                dist[u as usize] = d + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    far
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -138,19 +113,5 @@ mod tests {
         b.add_edge(0, 1);
         let g = b.build();
         assert_eq!(connect_components(&g), g);
-    }
-
-    #[test]
-    fn bfs_farthest_on_path() {
-        let mut b = GraphBuilder::new(5);
-        for i in 0..4 {
-            b.add_edge(i, i + 1);
-        }
-        let g = b.build();
-        let (v, d) = bfs_farthest(&g, 0);
-        assert_eq!((v, d), (4, 4));
-        let (v, d) = bfs_farthest(&g, 2);
-        assert_eq!(d, 2);
-        assert!(v == 0 || v == 4);
     }
 }

@@ -39,7 +39,7 @@ fn main() {
     let p = inertial_partition(&pts, g.vwgt(), k);
     show("inertial", p, t.elapsed().as_secs_f64());
     let t = Instant::now();
-    let p = sphere_kway(&g, &pts, k, &SphereConfig::default());
+    let p = sphere_kway(&g, &pts, k, 0x5e7a);
     show("random separators", p, t.elapsed().as_secs_f64());
     let t = Instant::now();
     let p = kway_partition(&g, k, &MlConfig::default()).part;

@@ -45,7 +45,7 @@ pub use mlgp_trace as trace;
 
 /// Convenient single-import surface for the common entry points.
 pub mod prelude {
-    pub use mlgp_geom::{inertial_partition, rcb_partition, sphere_kway, SphereConfig};
+    pub use mlgp_geom::{inertial_partition, rcb_partition, sphere_kway};
     pub use mlgp_graph::{CsrGraph, GraphBuilder, Permutation, Vid, Wgt};
     pub use mlgp_order::{analyze_ordering, mlnd_order, mmd_order, snd_order, SymbolicStats};
     pub use mlgp_part::{
